@@ -33,6 +33,7 @@ from .geometry import (
     barycenter,
     christoffel_drift,
     sample_noise,
+    simplex_point,
 )
 from .objectives import (
     Objective,
@@ -168,20 +169,15 @@ def _pick(args, config: dict, key: str, cast, fallback):
 
 
 def _pick_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        try:
-            return int(config["seed"])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config value for 'seed': {exc}") from exc
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_SEED} must be an integer: {env!r}") from exc
-    return 0
+    """flags > config > the ``SIMPLEX_LANGEVIN_SEED`` variable > 0."""
+    seed = _pick(args, config, "seed", int, None)
+    if seed is not None:
+        return seed
+    env = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise UsageError(f"{ENV_SEED} must be an integer: {env!r}") from exc
 
 
 def _parse_method(text: str) -> Method:
@@ -201,15 +197,11 @@ def _parse_method_list(text: str | None, default: tuple[Method, ...]):
     return methods
 
 
-def _uniform_init(objective: Objective) -> np.ndarray:
-    return np.concatenate([barycenter(d) for d in objective.block_dims])
-
-
 def _parse_init(
     text: str | None, objective: Objective, preset: ExperimentPreset | None
 ) -> np.ndarray:
     if text is None or text == "uniform":
-        return _uniform_init(objective)
+        return np.concatenate([barycenter(d) for d in objective.block_dims])
     if text == "paper":
         if preset is None:
             raise UsageError(
@@ -425,16 +417,9 @@ def cmd_portfolio(args) -> int:
     variant = _pick(args, config, "variant", str, "literal")
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r} (expected {VARIANTS})")
-    try:
-        cfg = LmwuConfig(
-            eps=_pick(args, config, "eps", float, DEFAULT_FIT_CONFIG.eps),
-            beta=_pick(args, config, "beta", float, DEFAULT_FIT_CONFIG.beta),
-            max_iters=_pick(args, config, "iters", int, DEFAULT_FIT_CONFIG.max_iters),
-            seed=_pick_seed(args, config),
-            floor=_pick(args, config, "floor", float, DEFAULT_FIT_CONFIG.floor),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _resolve_cfg(
+        args, config, Method.LMWU, None, from_returns=True, use_preset=False
+    )
     if not 2 <= window < panel.n_periods:
         raise UsageError(
             f"--window must satisfy 2 <= window < T={panel.n_periods}"
@@ -483,28 +468,32 @@ def cmd_noise_check(args) -> int:
     config = _load_config(args.config)
     init_text = _pick(args, config, "init", str, None)
     objective_id = _pick(args, config, "objective", str, None)
-    if init_text is not None and init_text not in ("uniform", "paper"):
-        point = _parse_init(init_text, None, None)
-    elif objective_id is not None:
+    if objective_id is not None:
         if objective_id not in TEST_FUNCTION_IDS:
             raise UsageError(f"unknown objective {objective_id!r}")
-        objective = test_function(objective_id)
-        if init_text == "paper":
-            point = np.array(PAPER_PRESETS[objective_id].init)
-        else:
-            point = _uniform_init(objective)
+        point = _parse_init(
+            init_text, test_function(objective_id), PAPER_PRESETS[objective_id]
+        )
     elif init_text in ("uniform", "paper"):
         raise UsageError(f"--init {init_text} needs --objective")
+    elif init_text is not None:
+        point = _parse_init(init_text, None, None)
     else:
         point = barycenter(2)
-    if abs(float(point.sum()) - 1.0) > 1e-9:
-        raise UsageError("noise-check point must sum to 1")
+    floor = _pick(args, config, "floor", float, DEFAULT_FLOOR)
+    try:
+        point = simplex_point(point)
+    except ValueError as exc:
+        raise UsageError(f"noise-check point: {exc}") from exc
+    if point.min() < floor:
+        raise UsageError(
+            f"noise-check point has a coordinate below floor {floor:.3e}"
+        )
     n_samples = _pick(args, config, "samples", int, 100_000)
     if n_samples < 10_000:
         raise UsageError("--samples must be >= 10000 for a meaningful check")
     eps = _pick(args, config, "eps", float, 0.1)
     beta = _pick(args, config, "beta", float, 1.0)
-    floor = _pick(args, config, "floor", float, DEFAULT_FLOOR)
     seed = _pick_seed(args, config)
     if eps <= 0 or beta <= 0:
         raise UsageError("eps and beta must be positive")

@@ -83,14 +83,6 @@ def simplex_point(values, *, tol: float = SUM_TOL) -> np.ndarray:
     return x
 
 
-def is_simplex_point(x: np.ndarray, *, tol: float = SUM_TOL) -> bool:
-    """True iff ``x`` is a finite, strictly positive vector summing to 1±tol."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
-        return False
-    return bool((x > 0.0).all() and abs(float(x.sum()) - 1.0) <= tol)
-
-
 def barycenter(n: int) -> np.ndarray:
     """The uniform point (1/n, ..., 1/n)."""
     if n < 1:

@@ -24,8 +24,6 @@ __all__ = [
     "PortfolioLoss",
     "TEST_FUNCTION_IDS",
     "test_function",
-    "eval_test_function",
-    "grad_test_function",
     "portfolio_moments",
     "portfolio_loss",
     "portfolio_loss_grad",
@@ -40,7 +38,8 @@ class Objective:
 
     ``block_dims`` partitions the ``dim`` coordinates into independent
     simplex blocks (a single block for every bundled benchmark).
-    ``known_optimum`` is an optional (point, value) pair.
+    ``known_optimum`` is an optional (point, value) pair. ``value`` and
+    ``gradient`` raise ValueError on a point that is not a ``dim``-vector.
     """
 
     name: str
@@ -59,10 +58,18 @@ class Objective:
             raise ValueError("each block must have dimension >= 1")
 
     def value(self, point) -> float:
-        return float(self.eval_fn(np.asarray(point, dtype=float)))
+        return float(self.eval_fn(self._point(point)))
 
     def gradient(self, point) -> np.ndarray:
-        return self.grad_fn(np.asarray(point, dtype=float))
+        return self.grad_fn(self._point(point))
+
+    def _point(self, point) -> np.ndarray:
+        p = np.asarray(point, dtype=float)
+        if p.shape != (self.dim,):
+            raise ValueError(
+                f"{self.name} expects a vector of length {self.dim}, got {p.shape}"
+            )
+        return p
 
     __call__ = value
 
@@ -259,31 +266,6 @@ def test_function(fid: str) -> Objective:
         grad_fn=grad_fn,
         known_optimum=(opt, float(value_fn(opt))),
     )
-
-
-def eval_test_function(fid: str, point) -> float:
-    """Evaluate benchmark ``fid`` at ``point``."""
-    value_fn, _, _ = _require(fid, point)
-    return float(value_fn(np.asarray(point, dtype=float)))
-
-
-def grad_test_function(fid: str, point) -> np.ndarray:
-    """Analytic Euclidean gradient of benchmark ``fid`` at ``point``."""
-    _, grad_fn, _ = _require(fid, point)
-    return grad_fn(np.asarray(point, dtype=float))
-
-
-def _require(fid: str, point):
-    try:
-        entry = _TEST_FUNCTIONS[fid]
-    except KeyError:
-        raise ValueError(
-            f"unknown test function {fid!r}; expected one of {TEST_FUNCTION_IDS}"
-        ) from None
-    p = np.asarray(point, dtype=float)
-    if p.shape != (entry[2],):
-        raise ValueError(f"{fid} expects a vector of length {entry[2]}, got {p.shape}")
-    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 from .geometry import (
     DEFAULT_FLOOR,
     SUM_TOL,
-    RetractionFailureError,
     euclidean_simplex_projection,
+    exp_map,
     lift_to_interior,
     normalize_retraction,
     sample_noise,
@@ -41,7 +41,6 @@ __all__ = [
     "StepResult",
     "StepSizeError",
     "StepFailureError",
-    "TrajectoryRecord",
     "Trajectory",
     "mwu_linear_step",
     "mwu_exponential_step",
@@ -61,9 +60,6 @@ class Method(str, Enum):
     LINEAR_MWU = "linear-mwu"
     EXP_MWU = "exp-mwu"
     PROJECTED_LANGEVIN = "proj-langevin"
-
-
-STOCHASTIC_METHODS = (Method.LMWU, Method.PROJECTED_LANGEVIN)
 
 
 class StepSizeError(ValueError):
@@ -157,18 +153,9 @@ class TheoryBudget:
 
 
 class StepResult(NamedTuple):
-    """Point produced by a stochastic step plus what it took to get there."""
+    """Point produced by a step plus what it took to get there."""
 
     point: np.ndarray
-    clamped: bool
-    resampled: bool
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    iteration: int
-    point: np.ndarray
-    f_value: float
     clamped: bool
     resampled: bool
 
@@ -184,15 +171,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def __getitem__(self, k: int) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            iteration=range(len(self))[k],
-            point=self.points[k],
-            f_value=float(self.f_values[k]),
-            clamped=bool(self.clamped[k]),
-            resampled=bool(self.resampled[k]),
-        )
 
     @property
     def iters(self) -> int:
@@ -242,14 +220,8 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
 
 
 def mwu_exponential_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
-    """x_i ← x_i e^{−ε g_i} / Σ_j x_j e^{−ε g_j} (shift-guarded)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError("point and gradient must have the same shape")
-    e = -eps * grad
-    w = x * np.exp(e - e.max())
-    return w / w.sum()
+    """x_i ← x_i e^{−ε g_i} / Σ_j x_j e^{−ε g_j}, i.e. ``exp_map(x, −ε·grad)``."""
+    return exp_map(x, -eps * np.asarray(grad, dtype=float))
 
 
 def lmwu_step(
@@ -285,47 +257,11 @@ def lmwu_step(
     if total > cfg.floor:
         # salvageable: only sign violations remain, clamp them away
         point, _ = normalize_retraction(numer, floor=cfg.floor)
-        return StepResult(point, True, True)
+        return StepResult(point, True, cfg.resample_limit > 0)
     raise StepFailureError(
         f"update denominator {total:.3e} stayed below floor after "
         f"{cfg.resample_limit} resamples"
     )
-
-
-def lmwu_multi_step(
-    x: np.ndarray,
-    grad: np.ndarray,
-    block_dims: Sequence[int],
-    cfg: LmwuConfig,
-    rngs: Sequence[np.random.Generator],
-) -> StepResult:
-    """Apply :func:`lmwu_step` independently to each simplex block.
-
-    Each block consumes its own generator from ``rngs``, so results do not
-    depend on block iteration order beyond the fixed block layout. With a
-    single block this is bit-identical to ``lmwu_step`` on ``rngs[0]``.
-    """
-    x = np.asarray(x, dtype=float)
-    if sum(block_dims) != x.size:
-        raise ValueError("block dimensions must sum to the point dimension")
-    if len(rngs) != len(block_dims):
-        raise ValueError("need one RNG per block")
-    grad = np.asarray(grad, dtype=float)
-    out = np.empty_like(x)
-    clamped = resampled = False
-    start = 0
-    for b, (dim, rng) in enumerate(zip(block_dims, rngs)):
-        stop = start + dim
-        try:
-            res = lmwu_step(x[start:stop], grad[start:stop], cfg, rng)
-        except StepFailureError as exc:
-            exc.block = b
-            raise
-        out[start:stop] = res.point
-        clamped |= res.clamped
-        resampled |= res.resampled
-        start = stop
-    return StepResult(out, clamped, resampled)
 
 
 def projected_langevin_step(
@@ -354,38 +290,114 @@ def projected_langevin_step(
 
 
 # ---------------------------------------------------------------------------
-# run loop
+# products of simplices
 # ---------------------------------------------------------------------------
 
-def _validate_init(init: np.ndarray, objective: Objective, cfg: LmwuConfig) -> np.ndarray:
-    x = np.array(init, dtype=float)
-    if x.shape != (objective.dim,):
-        raise ValueError(
-            f"init has shape {x.shape}, objective {objective.name!r} expects "
-            f"({objective.dim},)"
-        )
-    start = 0
-    for dim in objective.block_dims:
-        block = x[start:start + dim]
-        if not np.isfinite(block).all() or block.min() < cfg.floor:
-            raise ValueError("init coordinates must be finite and >= floor")
-        if abs(float(block.sum()) - 1.0) > SUM_TOL:
-            raise ValueError("each init block must sum to 1 within 1e-9")
-        start += dim
-    return x
+class _BlockLayout:
+    """One slice per simplex block of ``block_dims``. Every walk over the
+    blocks goes through this class: init validation, the per-block RNG
+    streams, and the blockwise step with its failure tags and simplex check.
+    """
 
+    def __init__(self, block_dims: Sequence[int]):
+        stops = np.cumsum(block_dims).tolist()
+        self.slices = [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
 
-def _check_iterate(x: np.ndarray, block_dims: tuple[int, ...], k: int) -> None:
-    start = 0
-    for b, dim in enumerate(block_dims):
-        block = x[start:start + dim]
+    def validate_init(self, x: np.ndarray, floor: float) -> None:
+        for s in self.slices:
+            block = x[s]
+            if not np.isfinite(block).all() or block.min() < floor:
+                raise ValueError("init coordinates must be finite and >= floor")
+            if abs(float(block.sum()) - 1.0) > SUM_TOL:
+                raise ValueError("each init block must sum to 1 within 1e-9")
+
+    def rngs(self, seed: int) -> list[np.random.Generator]:
+        if len(self.slices) == 1:
+            # the canonical stream for the seed, so single-simplex runs are
+            # reproducible against a plain default_rng(seed) transcription
+            return [np.random.default_rng(seed)]
+        return [
+            np.random.default_rng(np.random.SeedSequence([seed, b]))
+            for b in range(len(self.slices))
+        ]
+
+    def step(self, step_fn, x, grad, cfg: LmwuConfig, rngs) -> StepResult:
+        """Apply ``step_fn(x_b, grad_b, cfg, rng_b) -> StepResult`` to each
+        block b. A single block gets the step's own result, with no copy."""
+        if len(self.slices) == 1:
+            res = step_fn(x, grad, cfg, rngs[0])
+            self._check(res.point, 0)
+            return res
+        out = np.empty_like(x)
+        clamped = resampled = False
+        for b, (s, rng) in enumerate(zip(self.slices, rngs)):
+            try:
+                point, cl, rs = step_fn(x[s], grad[s], cfg, rng)
+            except StepFailureError as exc:
+                exc.block = b
+                raise
+            self._check(point, b)
+            out[s] = point
+            clamped |= cl
+            resampled |= rs
+        return StepResult(out, clamped, resampled)
+
+    @staticmethod
+    def _check(block: np.ndarray, b: int) -> None:
         if abs(float(block.sum()) - 1.0) > SUM_TOL or block.min() <= 0.0:
             raise StepFailureError(
                 f"iterate left the simplex (block sum {block.sum()!r}, "
-                f"min coord {block.min()!r})", iteration=k, block=b,
+                f"min coord {block.min()!r})", block=b,
             )
-        start += dim
 
+
+def lmwu_multi_step(
+    x: np.ndarray,
+    grad: np.ndarray,
+    block_dims: Sequence[int],
+    cfg: LmwuConfig,
+    rngs: Sequence[np.random.Generator],
+) -> StepResult:
+    """Apply :func:`lmwu_step` independently to each simplex block.
+
+    Each block consumes its own generator from ``rngs``, so results do not
+    depend on block iteration order beyond the fixed block layout. With a
+    single block this is bit-identical to ``lmwu_step`` on ``rngs[0]``.
+    """
+    x = np.asarray(x, dtype=float)
+    if sum(block_dims) != x.size:
+        raise ValueError("block dimensions must sum to the point dimension")
+    if len(rngs) != len(block_dims):
+        raise ValueError("need one RNG per block")
+    try:
+        return _BlockLayout(block_dims).step(
+            lmwu_step, x, np.asarray(grad, dtype=float), cfg, rngs
+        )
+    except StepFailureError as exc:
+        if exc.block is None:  # the lone block of a one-block layout
+            exc.block = 0
+        raise
+
+
+def _deterministic(step_fn):
+    return lambda x, g, cfg, rng: StepResult(step_fn(x, g, cfg.eps), False, False)
+
+
+# the per-block step (x, grad, cfg, rng) -> StepResult of each method
+_BLOCK_STEPS = {
+    Method.LMWU: lmwu_step,
+    Method.LINEAR_MWU: _deterministic(mwu_linear_step),
+    Method.EXP_MWU: _deterministic(mwu_exponential_step),
+    Method.PROJECTED_LANGEVIN: lambda x, g, cfg, rng: StepResult(
+        projected_langevin_step(x, g, cfg.eps, cfg.beta, rng, floor=cfg.floor),
+        False, False,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# run loop
+# ---------------------------------------------------------------------------
 
 def run_optimizer(
     method: Method | str,
@@ -405,23 +417,16 @@ def run_optimizer(
             iteration index (and block, for multi-block objectives).
         StepSizeError: a linear MWU multiplier went nonpositive.
     """
-    method = Method(method)
-    x = _validate_init(init, objective, cfg)
-    block_dims = objective.block_dims
-    n_blocks = len(block_dims)
-
-    if method in STOCHASTIC_METHODS:
-        if n_blocks == 1:
-            # the canonical stream for the seed, so single-simplex runs are
-            # reproducible against a plain default_rng(seed) transcription
-            rngs = [np.random.default_rng(cfg.seed)]
-        else:
-            rngs = [
-                np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
-                for b in range(n_blocks)
-            ]
-    else:
-        rngs = []
+    step = _BLOCK_STEPS[Method(method)]
+    x = np.array(init, dtype=float)
+    if x.shape != (objective.dim,):
+        raise ValueError(
+            f"init has shape {x.shape}, objective {objective.name!r} expects "
+            f"({objective.dim},)"
+        )
+    layout = _BlockLayout(objective.block_dims)
+    layout.validate_init(x, cfg.floor)
+    rngs = layout.rngs(cfg.seed)
 
     k_max = cfg.max_iters
     points = np.empty((k_max + 1, objective.dim))
@@ -431,63 +436,17 @@ def run_optimizer(
     points[0] = x
     f_values[0] = objective.value(x)
 
-    single = n_blocks == 1
     for k in range(1, k_max + 1):
         grad = objective.gradient(x)
         try:
-            if method is Method.LMWU:
-                if single:
-                    res = lmwu_step(x, grad, cfg, rngs[0])
-                else:
-                    res = lmwu_multi_step(x, grad, block_dims, cfg, rngs)
-                x, cl, rs = res
-            elif method is Method.LINEAR_MWU:
-                x = _blockwise(mwu_linear_step, x, grad, block_dims, cfg.eps)
-                cl = rs = False
-            elif method is Method.EXP_MWU:
-                x = _blockwise(mwu_exponential_step, x, grad, block_dims, cfg.eps)
-                cl = rs = False
-            else:
-                x = _pl_blockwise(x, grad, block_dims, cfg, rngs)
-                cl = rs = False
+            x, clamped[k], resampled[k] = layout.step(step, x, grad, cfg, rngs)
         except StepFailureError as exc:
             if exc.iteration is None:
                 exc.iteration = k
             raise
-        _check_iterate(x, block_dims, k)
         points[k] = x
         f_values[k] = objective.value(x)
-        clamped[k] = cl
-        resampled[k] = rs
     return Trajectory(points, f_values, clamped, resampled)
-
-
-def _blockwise(step_fn, x, grad, block_dims, eps):
-    if len(block_dims) == 1:
-        return step_fn(x, grad, eps)
-    out = np.empty_like(x)
-    start = 0
-    for dim in block_dims:
-        stop = start + dim
-        out[start:stop] = step_fn(x[start:stop], grad[start:stop], eps)
-        start = stop
-    return out
-
-
-def _pl_blockwise(x, grad, block_dims, cfg: LmwuConfig, rngs):
-    if len(block_dims) == 1:
-        return projected_langevin_step(
-            x, grad, cfg.eps, cfg.beta, rngs[0], floor=cfg.floor
-        )
-    out = np.empty_like(x)
-    start = 0
-    for dim, rng in zip(block_dims, rngs):
-        stop = start + dim
-        out[start:stop] = projected_langevin_step(
-            x[start:stop], grad[start:stop], cfg.eps, cfg.beta, rng, floor=cfg.floor
-        )
-        start = stop
-    return out
 
 
 # ---------------------------------------------------------------------------

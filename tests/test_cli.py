@@ -1,10 +1,12 @@
 """Command-line interface tests: exit codes, CSV outputs, precedence."""
 import csv
+import os
 import subprocess
 import sys
 
 import pytest
 
+import simplex_langevin
 from simplex_langevin.cli import ENV_SEED, main
 
 RETURNS_CSV = """date,a,b
@@ -99,6 +101,8 @@ class TestExitCodes:
             ["noise-check", "--init", "0.5,0.6"],  # does not sum to 1
             ["portfolio"],  # missing --returns
             ["sweep", "--objective", "f1", "--samples", "0"],
+            ["noise-check", "--init", "0.5,0.5,0"],  # a coordinate at 0
+            ["noise-check", "--init", "0.6,0.5,-0.1"],  # a negative one
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, capsys):
@@ -369,11 +373,14 @@ class TestNoiseCheck:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(simplex_langevin.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "simplex_langevin.cli",
          "optimize", "--objective", "f1", "--iters", "2",
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert (tmp_path / "trajectory.csv").exists()

@@ -15,7 +15,6 @@ from simplex_langevin.geometry import (
     distance_sq_barycenter,
     euclidean_simplex_projection,
     exp_map,
-    is_simplex_point,
     lift_to_interior,
     log_map,
     normalize_retraction,
@@ -35,7 +34,7 @@ class TestSimplexPoint:
     def test_accepts_valid_point(self):
         x = simplex_point([0.3, 0.6, 0.1])
         assert x.dtype == np.float64
-        assert is_simplex_point(x)
+        assert np.array_equal(simplex_point(x), x)  # accepted again as is
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):

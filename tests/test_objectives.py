@@ -7,9 +7,7 @@ from simplex_langevin.objectives import (
     Objective,
     PortfolioLoss,
     TEST_FUNCTION_IDS,
-    eval_test_function,
     finite_difference_gradient,
-    grad_test_function,
     portfolio_loss,
     portfolio_loss_grad,
     portfolio_moments,
@@ -82,11 +80,11 @@ class TestBenchmarkFunctions:
     def test_f3_vertex_hand_value(self):
         # 0.49·0.01 + 0.04·0.49 + 0.36·0.01 − 0.35
         assert_allclose(
-            eval_test_function("f3", [1.0, 0.0, 0.0]), -0.3219, rtol=1e-12
+            benchmark("f3").value([1.0, 0.0, 0.0]), -0.3219, rtol=1e-12
         )
 
     def test_f3_gradient_hand_value(self):
-        g = grad_test_function("f3", [0.3, 0.2, 0.6])
+        g = benchmark("f3").gradient([0.3, 0.2, 0.6])
         assert_allclose(g, [-0.3, 0.0, 0.0], rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("fid", TEST_FUNCTION_IDS)
@@ -104,11 +102,16 @@ class TestBenchmarkFunctions:
         with pytest.raises(ValueError, match="unknown test function"):
             benchmark("f7")
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            eval_test_function("f1", [0.5, 0.5])
-        with pytest.raises(ValueError):
-            grad_test_function("f5", np.ones(3) / 3)
+    @pytest.mark.parametrize("size", ["1", "dim-1", "dim+1"])
+    @pytest.mark.parametrize("fid", TEST_FUNCTION_IDS)
+    def test_shape_validation(self, fid, size):
+        obj = benchmark(fid)
+        n = {"1": 1, "dim-1": obj.dim - 1, "dim+1": obj.dim + 1}[size]
+        point = np.ones(n) / n
+        with pytest.raises(ValueError, match=f"{fid} expects a vector"):
+            obj.value(point)
+        with pytest.raises(ValueError, match=f"{fid} expects a vector"):
+            obj.gradient(point)
 
     def test_objective_block_validation(self):
         with pytest.raises(ValueError):

@@ -122,13 +122,17 @@ class TestLmwuStep:
             lmwu_step(np.array([0.5, 0.5]), np.zeros(2),
                       cfg, np.random.default_rng(0))
 
-    def test_clamp_path_after_exhausted_resamples(self):
+    @pytest.mark.parametrize("resample_limit", [0, 4])
+    def test_clamp_path_after_exhausted_resamples(self, resample_limit):
         # one numerator is deterministically negative but the sum is healthy:
-        # every resample fails, then the clamp repair kicks in
-        cfg = LmwuConfig(eps=0.1, beta=1e30, max_iters=1, resample_limit=4)
+        # every resample fails, then the clamp repair kicks in; with no
+        # resample budget nothing was resampled
+        cfg = LmwuConfig(eps=0.1, beta=1e30, max_iters=1,
+                         resample_limit=resample_limit)
         res = lmwu_step(np.array([0.9, 0.1]), np.array([0.0, 11.0]),
                         cfg, np.random.default_rng(1))
-        assert res.clamped and res.resampled
+        assert res.clamped
+        assert res.resampled == (resample_limit > 0)
         assert res.point[1] == cfg.floor
         assert abs(res.point.sum() - 1.0) < 1e-14
 
@@ -220,9 +224,8 @@ class TestRunOptimizer:
         cfg = LmwuConfig(eps=1e-4, beta=100.0, max_iters=50, seed=4)
         traj = run_optimizer("lmwu", obj, np.full(3, 1.0 / 3.0), cfg)
         assert len(traj) == 51
-        rec = traj[-1]
-        assert rec.iteration == 50
-        assert rec.f_value == traj.final_f
+        assert traj.iters == 50
+        assert traj.f_values[-1] == traj.final_f
 
     def test_method_accepts_string_or_enum(self):
         obj = benchmark("f1")
@@ -297,6 +300,76 @@ class TestRunOptimizer:
             LmwuConfig(eps=0.1, beta=1.0, max_iters=1, floor=2.0)
         with pytest.raises(ValueError):
             LmwuConfig(eps=0.1, beta=1.0, max_iters=1, resample_limit=-1)
+
+
+def two_block_objective():
+    """f1 on coordinates 0-2 plus f2 on coordinates 3-5: a separable
+    objective over a product of two 3-simplices."""
+    f1, f2 = benchmark("f1"), benchmark("f2")
+    return Objective(
+        name="f1+f2",
+        dim=6,
+        block_dims=(3, 3),
+        eval_fn=lambda p: f1.value(p[:3]) + f2.value(p[3:]),
+        grad_fn=lambda p: np.concatenate([f1.gradient(p[:3]), f2.gradient(p[3:])]),
+    )
+
+
+class TestMultiBlockRun:
+    INITS = (np.array([0.3, 0.6, 0.1]), np.array([0.4, 0.1, 0.5]))
+    CFG = LmwuConfig(eps=1e-3, beta=50.0, max_iters=300, seed=7)
+
+    @pytest.mark.parametrize("method", ["linear-mwu", "exp-mwu"])
+    def test_deterministic_blocks_match_single_block_runs(self, method):
+        traj = run_optimizer(
+            method, two_block_objective(), np.concatenate(self.INITS), self.CFG
+        )
+        for b, fid in enumerate(("f1", "f2")):
+            alone = run_optimizer(method, benchmark(fid), self.INITS[b], self.CFG)
+            assert np.array_equal(traj.points[:, 3 * b:3 * b + 3], alone.points)
+        assert not traj.clamped.any() and not traj.resampled.any()
+
+    @pytest.mark.parametrize("method", ["lmwu", "proj-langevin"])
+    def test_stochastic_blocks_match_hand_loops(self, method):
+        cfg = self.CFG
+        traj = run_optimizer(
+            method, two_block_objective(), np.concatenate(self.INITS), cfg
+        )
+        clamped = np.zeros(cfg.max_iters + 1, dtype=bool)
+        resampled = np.zeros(cfg.max_iters + 1, dtype=bool)
+        for b, fid in enumerate(("f1", "f2")):
+            obj = benchmark(fid)
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
+            x = self.INITS[b]
+            points = [x]
+            for k in range(1, cfg.max_iters + 1):
+                if method == "lmwu":
+                    x, cl, rs = lmwu_step(x, obj.gradient(x), cfg, rng)
+                    clamped[k] |= cl
+                    resampled[k] |= rs
+                else:
+                    x = projected_langevin_step(
+                        x, obj.gradient(x), cfg.eps, cfg.beta, rng, floor=cfg.floor
+                    )
+                points.append(x)
+            assert np.array_equal(traj.points[:, 3 * b:3 * b + 3], np.array(points))
+        assert np.array_equal(traj.clamped, clamped)
+        assert np.array_equal(traj.resampled, resampled)
+
+    def test_failure_carries_iteration_and_block(self):
+        # ε/2β = 0.01: the drift sum is about −0.06 on the uniform first
+        # block but about −7.9 on the second block, which sits next to a
+        # vertex (S_x ≈ 201), so only the second block degenerates
+        obj = Objective(
+            name="two-blocks", dim=5, block_dims=(2, 3),
+            eval_fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(5),
+        )
+        cfg = LmwuConfig(eps=0.01, beta=0.5, max_iters=5)
+        with pytest.raises(StepFailureError) as info:
+            run_optimizer("lmwu", obj, [0.5, 0.5, 0.98, 0.01, 0.01], cfg)
+        assert info.value.iteration == 1
+        assert info.value.block == 1
+        assert str(info.value).endswith("(iteration 1, block 1)")
 
 
 class TestGuaranteeFormulas:
