@@ -23,8 +23,6 @@ from .objectives import (
     PortfolioLoss,
     TEST_FUNCTION_IDS,
     finite_difference_gradient,
-    portfolio_loss,
-    portfolio_loss_grad,
     portfolio_moments,
     portfolio_objective,
     test_function,
@@ -82,8 +80,6 @@ __all__ = [
     "PortfolioLoss",
     "TEST_FUNCTION_IDS",
     "finite_difference_gradient",
-    "portfolio_loss",
-    "portfolio_loss_grad",
     "portfolio_moments",
     "portfolio_objective",
     "test_function",

@@ -55,6 +55,7 @@ from .portfolio import (
     RISK_PRESETS,
     ReturnsParseError,
     PortfolioFitError,
+    RiskPreset,
     VARIANTS,
     compare_methods,
     load_returns,
@@ -219,32 +220,46 @@ def _parse_init(
     return np.array(values, dtype=float)
 
 
+def _objective_id(args, config: dict) -> str | None:
+    """The ``--objective`` id, checked against the bundled ids, or None."""
+    objective_id = _pick(args, config, "objective", str, None)
+    if objective_id is not None and objective_id not in TEST_FUNCTION_IDS:
+        raise UsageError(
+            f"unknown objective {objective_id!r} "
+            f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
+        )
+    return objective_id
+
+
+def _risk_presets(args, config: dict, *, single: bool) -> list[RiskPreset]:
+    """The ``--preset`` risk presets (default ``equal``): exactly one name
+    when ``single``, otherwise a comma list of names or ``all``."""
+    text = _pick(args, config, "preset", str, "equal")
+    if text == "all" and not single:
+        return list(RISK_PRESETS.values())
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    if (not names or (single and len(names) > 1)
+            or not set(names) <= RISK_PRESETS.keys()):
+        expected = "one of" if single else "names from"
+        raise UsageError(
+            f"bad --preset {text!r} (expected {expected} "
+            f"{', '.join(RISK_PRESETS)}{'' if single else ', or all'})"
+        )
+    return [RISK_PRESETS[n] for n in names]
+
+
 def _resolve_objective(args, config: dict):
     """Returns (objective, preset-or-None, from_returns flag)."""
-    objective_id = _pick(args, config, "objective", str, None)
+    objective_id = _objective_id(args, config)
     returns_path = _pick(args, config, "returns", str, None)
     if (objective_id is None) == (returns_path is None):
         raise UsageError("exactly one of --objective or --returns is required")
     if objective_id is not None:
-        if objective_id not in TEST_FUNCTION_IDS:
-            raise UsageError(
-                f"unknown objective {objective_id!r} "
-                f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
-            )
-        return test_function(objective_id), PAPER_PRESETS.get(objective_id), False
+        return test_function(objective_id), PAPER_PRESETS[objective_id], False
     panel = load_returns(returns_path)
-    preset_name = _pick(args, config, "preset", str, "equal")
-    if preset_name not in RISK_PRESETS:
-        raise UsageError(
-            f"unknown preset {preset_name!r} "
-            f"(expected one of {', '.join(RISK_PRESETS)})"
-        )
-    loss = PortfolioLoss(panel.returns, RISK_PRESETS[preset_name].lambdas)
-    return (
-        portfolio_objective(loss, name=f"portfolio[{preset_name}]"),
-        None,
-        True,
-    )
+    (preset,) = _risk_presets(args, config, single=True)
+    loss = PortfolioLoss(panel.returns, preset.lambdas)
+    return portfolio_objective(loss, name=f"portfolio[{preset.name}]"), None, True
 
 
 def _resolve_cfg(
@@ -398,18 +413,7 @@ def cmd_portfolio(args) -> int:
     if returns_path is None:
         raise UsageError("portfolio requires --returns")
     panel = load_returns(returns_path)
-    preset_text = _pick(args, config, "preset", str, "equal")
-    if preset_text == "all":
-        presets = list(RISK_PRESETS.values())
-    else:
-        names = [t.strip() for t in preset_text.split(",") if t.strip()]
-        unknown = [n for n in names if n not in RISK_PRESETS]
-        if unknown or not names:
-            raise UsageError(
-                f"unknown preset(s) {', '.join(unknown) or '<none>'} "
-                f"(expected names from {', '.join(RISK_PRESETS)}, or 'all')"
-            )
-        presets = [RISK_PRESETS[n] for n in names]
+    presets = _risk_presets(args, config, single=False)
     methods = _parse_method_list(
         _pick(args, config, "method", str, None), tuple(Method)
     )
@@ -467,10 +471,8 @@ def cmd_portfolio(args) -> int:
 def cmd_noise_check(args) -> int:
     config = _load_config(args.config)
     init_text = _pick(args, config, "init", str, None)
-    objective_id = _pick(args, config, "objective", str, None)
+    objective_id = _objective_id(args, config)
     if objective_id is not None:
-        if objective_id not in TEST_FUNCTION_IDS:
-            raise UsageError(f"unknown objective {objective_id!r}")
         point = _parse_init(
             init_text, test_function(objective_id), PAPER_PRESETS[objective_id]
         )

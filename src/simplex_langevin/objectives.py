@@ -25,8 +25,6 @@ __all__ = [
     "TEST_FUNCTION_IDS",
     "test_function",
     "portfolio_moments",
-    "portfolio_loss",
-    "portfolio_loss_grad",
     "portfolio_objective",
     "finite_difference_gradient",
 ]
@@ -37,16 +35,18 @@ class Objective:
     """A differentiable objective over a product of simplices.
 
     ``block_dims`` partitions the ``dim`` coordinates into independent
-    simplex blocks (a single block for every bundled benchmark).
-    ``known_optimum`` is an optional (point, value) pair. ``value`` and
-    ``gradient`` raise ValueError on a point that is not a ``dim``-vector.
+    simplex blocks (a single block for every bundled benchmark). ``fn``
+    maps a point to its (value, Euclidean gradient) pair in one evaluation;
+    ``value`` and ``gradient`` are derived from it, so each of them also
+    pays for the other. ``known_optimum`` is an optional (point, value)
+    pair. Evaluation raises ValueError on a point that is not a
+    ``dim``-vector.
     """
 
     name: str
     dim: int
     block_dims: tuple[int, ...]
-    eval_fn: Callable[[np.ndarray], float] = field(repr=False)
-    grad_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    fn: Callable[[np.ndarray], tuple[float, np.ndarray]] = field(repr=False)
     known_optimum: Optional[tuple[np.ndarray, float]] = None
 
     def __post_init__(self) -> None:
@@ -57,21 +57,20 @@ class Objective:
         if any(b < 1 for b in self.block_dims):
             raise ValueError("each block must have dimension >= 1")
 
-    def value(self, point) -> float:
-        return float(self.eval_fn(self._point(point)))
-
-    def gradient(self, point) -> np.ndarray:
-        return self.grad_fn(self._point(point))
-
-    def _point(self, point) -> np.ndarray:
+    def value_and_grad(self, point) -> tuple[float, np.ndarray]:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             raise ValueError(
                 f"{self.name} expects a vector of length {self.dim}, got {p.shape}"
             )
-        return p
+        value, grad = self.fn(p)
+        return float(value), grad
 
-    __call__ = value
+    def value(self, point) -> float:
+        return self.value_and_grad(point)[0]
+
+    def gradient(self, point) -> np.ndarray:
+        return self.value_and_grad(point)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +104,10 @@ _F1_QB = np.array([30.0, 20.0, 36.0])
 _F1_CB = np.array([0.4, 0.2, 0.4])
 
 
-def _f1_value(p: np.ndarray) -> float:
-    v, _ = _double_well_log(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
-    return v + p[1] + 10.0
-
-
-def _f1_grad(p: np.ndarray) -> np.ndarray:
-    _, g = _double_well_log(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
+def _f1(p: np.ndarray) -> tuple[float, np.ndarray]:
+    v, g = _double_well_log(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
     g[1] += 1.0
-    return g
+    return v + p[1] + 10.0, g
 
 
 _F2_QA = np.array([15.0, 60.0, 10.0])
@@ -122,85 +116,64 @@ _F2_QB = np.array([3.0, 2.0, 6.0])
 _F2_CB = np.array([0.4, 0.2, 0.4])
 
 
-def _f2_value(p: np.ndarray) -> float:
-    v, _ = _double_well_log(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
-    return v + p[1]
-
-
-def _f2_grad(p: np.ndarray) -> np.ndarray:
-    _, g = _double_well_log(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
+def _f2(p: np.ndarray) -> tuple[float, np.ndarray]:
+    v, g = _double_well_log(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
     g[1] += 1.0
-    return g
+    return v + p[1], g
 
 
-def _f3_value(p: np.ndarray) -> float:
+def _f3(p: np.ndarray) -> tuple[float, np.ndarray]:
     x, y, z = p.tolist()
-    return ((x - 0.3) ** 2 * (x - 0.9) ** 2
-            + (y - 0.2) ** 2 * (y - 0.7) ** 2
-            + (z - 0.6) ** 2 * (z - 0.1) ** 2
-            + (x - 0.3) * (y - 0.5))
-
-
-def _f3_grad(p: np.ndarray) -> np.ndarray:
-    x, y, z = p.tolist()
+    value = ((x - 0.3) ** 2 * (x - 0.9) ** 2
+             + (y - 0.2) ** 2 * (y - 0.7) ** 2
+             + (z - 0.6) ** 2 * (z - 0.1) ** 2
+             + (x - 0.3) * (y - 0.5))
     gx = 2.0 * (x - 0.3) * (x - 0.9) ** 2 + 2.0 * (x - 0.3) ** 2 * (x - 0.9) + (y - 0.5)
     gy = 2.0 * (y - 0.2) * (y - 0.7) ** 2 + 2.0 * (y - 0.2) ** 2 * (y - 0.7) + (x - 0.3)
     gz = 2.0 * (z - 0.6) * (z - 0.1) ** 2 + 2.0 * (z - 0.6) ** 2 * (z - 0.1)
-    return np.array([gx, gy, gz])
+    return value, np.array([gx, gy, gz])
 
 
-def _f4_value(p: np.ndarray) -> float:
+def _f4(p: np.ndarray) -> tuple[float, np.ndarray]:
     x, y, z = p.tolist()
-    return (-((x - 0.6) ** 2) * (x - 0.2) ** 2
-            + (y - 0.3) * (y - 0.4) ** 3
-            + (z - 0.2) ** 3 * (z - 0.8)
-            - x * y - 0.4 * z)
-
-
-def _f4_grad(p: np.ndarray) -> np.ndarray:
-    x, y, z = p.tolist()
+    value = (-((x - 0.6) ** 2) * (x - 0.2) ** 2
+             + (y - 0.3) * (y - 0.4) ** 3
+             + (z - 0.2) ** 3 * (z - 0.8)
+             - x * y - 0.4 * z)
     gx = -(2.0 * (x - 0.6) * (x - 0.2) ** 2 + 2.0 * (x - 0.6) ** 2 * (x - 0.2)) - y
     gy = (y - 0.4) ** 3 + 3.0 * (y - 0.3) * (y - 0.4) ** 2 - x
     gz = 3.0 * (z - 0.2) ** 2 * (z - 0.8) + (z - 0.2) ** 3 - 0.4
-    return np.array([gx, gy, gz])
+    return value, np.array([gx, gy, gz])
 
 
-def _f5_value(p: np.ndarray) -> float:
+def _f5(p: np.ndarray) -> tuple[float, np.ndarray]:
     x, y, z, w, v = p.tolist()
-    return ((x - 0.6) ** 2 * (x - 0.2) ** 2 - x * y
-            + (y - 0.3) ** 2 * (y - 0.4) ** 2
-            + (z - 0.2) ** 4 - 0.5 * z * w
-            + (w - 0.5) ** 4 + (v - 0.3) ** 4)
-
-
-def _f5_grad(p: np.ndarray) -> np.ndarray:
-    x, y, z, w, v = p.tolist()
+    value = ((x - 0.6) ** 2 * (x - 0.2) ** 2 - x * y
+             + (y - 0.3) ** 2 * (y - 0.4) ** 2
+             + (z - 0.2) ** 4 - 0.5 * z * w
+             + (w - 0.5) ** 4 + (v - 0.3) ** 4)
     gx = 2.0 * (x - 0.6) * (x - 0.2) ** 2 + 2.0 * (x - 0.6) ** 2 * (x - 0.2) - y
     gy = -x + 2.0 * (y - 0.3) * (y - 0.4) ** 2 + 2.0 * (y - 0.3) ** 2 * (y - 0.4)
     gz = 4.0 * (z - 0.2) ** 3 - 0.5 * w
     gw = -0.5 * z + 4.0 * (w - 0.5) ** 3
     gv = 4.0 * (v - 0.3) ** 3
-    return np.array([gx, gy, gz, gw, gv])
+    return value, np.array([gx, gy, gz, gw, gv])
 
 
-def _f6_value(p: np.ndarray) -> float:
+def _f6(p: np.ndarray) -> tuple[float, np.ndarray]:
     x, y, z, w, v, h = p.tolist()
-    return ((x - 0.6) ** 2 * (x - 0.8)
-            + (y - 0.9) * (y - 0.4) ** 2
-            + (z - 0.2) ** 2
-            + (v - 0.6) ** 2 + (w - 0.5) ** 2 - 0.5 * v * w
-            + (h - 0.5) ** 2)
-
-
-def _f6_grad(p: np.ndarray) -> np.ndarray:
-    x, y, z, w, v, h = p.tolist()
+    value = ((x - 0.6) ** 2 * (x - 0.8)
+             + (y - 0.9) * (y - 0.4) ** 2
+             + (z - 0.2) ** 2
+             + (v - 0.6) ** 2 + (w - 0.5) ** 2 - 0.5 * v * w
+             + (h - 0.5) ** 2)
     gx = 2.0 * (x - 0.6) * (x - 0.8) + (x - 0.6) ** 2
     gy = (y - 0.4) ** 2 + 2.0 * (y - 0.9) * (y - 0.4)
     gz = 2.0 * (z - 0.2)
     gw = 2.0 * (w - 0.5) - 0.5 * v
     gv = 2.0 * (v - 0.6) - 0.5 * w
     gh = 2.0 * (h - 0.5)
-    return np.array([gx, gy, gz, gw, gv, gh])
+    return value, np.array([gx, gy, gz, gw, gv, gh])
 
 
 # Published optimum locations, to the four decimals they were published with.
@@ -231,13 +204,13 @@ _CERTIFIED_OPTIMA = {
     "f6": (0.0, 0.0, 0.0, 94 / 275, 116 / 275, 13 / 55),
 }
 
-_TEST_FUNCTIONS: dict[str, tuple[Callable, Callable, int]] = {
-    "f1": (_f1_value, _f1_grad, 3),
-    "f2": (_f2_value, _f2_grad, 3),
-    "f3": (_f3_value, _f3_grad, 3),
-    "f4": (_f4_value, _f4_grad, 3),
-    "f5": (_f5_value, _f5_grad, 5),
-    "f6": (_f6_value, _f6_grad, 6),
+_TEST_FUNCTIONS: dict[str, tuple[Callable, int]] = {
+    "f1": (_f1, 3),
+    "f2": (_f2, 3),
+    "f3": (_f3, 3),
+    "f4": (_f4, 3),
+    "f5": (_f5, 5),
+    "f6": (_f6, 6),
 }
 
 TEST_FUNCTION_IDS = tuple(_TEST_FUNCTIONS)
@@ -252,7 +225,7 @@ def test_function(fid: str) -> Objective:
     docstring).
     """
     try:
-        value_fn, grad_fn, dim = _TEST_FUNCTIONS[fid]
+        fn, dim = _TEST_FUNCTIONS[fid]
     except KeyError:
         raise ValueError(
             f"unknown test function {fid!r}; expected one of {TEST_FUNCTION_IDS}"
@@ -262,9 +235,8 @@ def test_function(fid: str) -> Objective:
         name=fid,
         dim=dim,
         block_dims=(dim,),
-        eval_fn=value_fn,
-        grad_fn=grad_fn,
-        known_optimum=(opt, float(value_fn(opt))),
+        fn=fn,
+        known_optimum=(opt, float(fn(opt)[0])),
     )
 
 
@@ -279,11 +251,14 @@ class PortfolioLoss:
     With p = returns @ w the per-period portfolio return series, m_1 its
     sample mean and m_k (k >= 2) its k-th biased (divide-by-T) sample central
     moment, the loss is Σ_k (−1)^k λ_k m_k — mean is rewarded, variance
-    penalized, skewness rewarded, and so on with alternating signs.
+    penalized, skewness rewarded, and so on with alternating signs. The
+    column means r̄ and the centred panel R − r̄ are computed once, here.
     """
 
     returns: np.ndarray
     lambdas: np.ndarray
+    _rbar: np.ndarray = field(init=False, repr=False, compare=False)
+    _centred: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "returns", np.asarray(self.returns, dtype=float))
@@ -299,6 +274,9 @@ class PortfolioLoss:
             raise ValueError("lambdas must be nonnegative and finite")
         if abs(float(lam.sum()) - 1.0) > 1e-9:
             raise ValueError("lambdas must sum to 1 within 1e-9")
+        rbar = r.mean(axis=0)
+        object.__setattr__(self, "_rbar", rbar)
+        object.__setattr__(self, "_centred", r - rbar)
 
     @property
     def n_assets(self) -> int:
@@ -314,46 +292,40 @@ def _moment_signs(d: int) -> np.ndarray:
     return np.array([(-1.0) ** k for k in range(1, d + 1)])
 
 
-def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
-    """Sample moments (m_1, ..., m_d) of the portfolio return series at ``w``."""
-    w = np.asarray(w, dtype=float)
-    p = loss.returns @ w
+def _moments(loss: PortfolioLoss, w) -> tuple[np.ndarray, np.ndarray]:
+    """(m_1, ..., m_d) at ``w`` and the centred return series c = p − m_1."""
+    p = loss.returns @ np.asarray(w, dtype=float)
     mu = p.mean()
     out = np.empty(loss.order)
     out[0] = mu
     c = p - mu
     for k in range(2, loss.order + 1):
         out[k - 1] = (c ** k).mean()
-    return out
+    return out, c
 
 
-def portfolio_loss(loss: PortfolioLoss, w) -> float:
-    """Loss value Σ_k (−1)^k λ_k m_k(w)."""
-    m = portfolio_moments(loss, w)
-    return float((_moment_signs(loss.order) * loss.lambdas * m).sum())
+def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
+    """Sample moments (m_1, ..., m_d) of the portfolio return series at ``w``."""
+    return _moments(loss, w)[0]
 
 
-def portfolio_loss_grad(loss: PortfolioLoss, w) -> np.ndarray:
-    """Euclidean gradient of :func:`portfolio_loss` in ``w``.
+def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple[float, np.ndarray]:
+    """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``.
 
-    ∂m_1/∂w is the column mean of the panel; for k >= 2,
+    ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
     ∂m_k/∂w = (k/T)·Σ_t (p_t − μ)^{k−1} (r_t − r̄).
     """
-    w = np.asarray(w, dtype=float)
-    r = loss.returns
-    t_count = r.shape[0]
-    rbar = r.mean(axis=0)
-    p = r @ w
-    c = p - p.mean()
-    centered = r - rbar
+    m, c = _moments(loss, w)
     signs = _moment_signs(loss.order)
-    grad = signs[0] * loss.lambdas[0] * rbar
+    value = float((signs * loss.lambdas * m).sum())
+    t_count = loss.returns.shape[0]
+    grad = signs[0] * loss.lambdas[0] * loss._rbar
     for k in range(2, loss.order + 1):
         if loss.lambdas[k - 1] == 0.0:
             continue
-        dm = (k / t_count) * (c ** (k - 1)) @ centered
+        dm = (k / t_count) * (c ** (k - 1)) @ loss._centred
         grad = grad + signs[k - 1] * loss.lambdas[k - 1] * dm
-    return grad
+    return value, grad
 
 
 def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objective:
@@ -362,8 +334,7 @@ def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objecti
         name=name,
         dim=loss.n_assets,
         block_dims=(loss.n_assets,),
-        eval_fn=lambda p: portfolio_loss(loss, p),
-        grad_fn=lambda p: portfolio_loss_grad(loss, p),
+        fn=lambda p: _portfolio_value_and_grad(loss, p),
     )
 
 

@@ -409,8 +409,10 @@ def run_optimizer(
 
     Every iterate (including the initial point) is recorded with its
     objective value and the clamp/resample flags of the step that produced
-    it. Runs are deterministic in (method, objective, init, cfg): stochastic
-    methods derive one RNG substream per simplex block from ``cfg.seed``.
+    it. The objective is evaluated once per iterate: its value is recorded
+    and its gradient drives the next step. Runs are deterministic in
+    (method, objective, init, cfg): stochastic methods derive one RNG
+    substream per simplex block from ``cfg.seed``.
 
     Raises:
         StepFailureError: a stochastic step degenerated; carries the
@@ -434,10 +436,9 @@ def run_optimizer(
     clamped = np.zeros(k_max + 1, dtype=bool)
     resampled = np.zeros(k_max + 1, dtype=bool)
     points[0] = x
-    f_values[0] = objective.value(x)
+    f_values[0], grad = objective.value_and_grad(x)
 
     for k in range(1, k_max + 1):
-        grad = objective.gradient(x)
         try:
             x, clamped[k], resampled[k] = layout.step(step, x, grad, cfg, rngs)
         except StepFailureError as exc:
@@ -445,7 +446,7 @@ def run_optimizer(
                 exc.iteration = k
             raise
         points[k] = x
-        f_values[k] = objective.value(x)
+        f_values[k], grad = objective.value_and_grad(x)
     return Trajectory(points, f_values, clamped, resampled)
 
 

@@ -26,12 +26,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .geometry import lift_to_interior
-from .objectives import (
-    PortfolioLoss,
-    portfolio_loss,
-    portfolio_moments,
-    portfolio_objective,
-)
+from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
 from .optimizers import (
     LmwuConfig,
     Method,
@@ -284,6 +279,13 @@ def _window_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
+def _cell_seed(base_seed: int, method: Method, preset: str) -> int:
+    # keyed by names, not by grid position, so that a cell's fits do not
+    # depend on which other cells were requested; no method value holds "/"
+    key = f"{method.value}/{preset}".encode()
+    return int(np.random.SeedSequence([base_seed, *key]).generate_state(1)[0])
+
+
 def _out_of_sample_loss(
     loss_window: PortfolioLoss,
     lambdas: Sequence[float],
@@ -396,19 +398,17 @@ def compare_methods(
 ) -> ScoreTable:
     """Evaluate every method x preset cell into one :class:`ScoreTable`.
 
-    Cells are independent: each gets a seed derived from ``cfg.seed`` and
-    its grid position, and a failing cell is recorded in ``failures``
-    instead of aborting the rest of the table.
+    Cells are independent: each gets a seed derived from ``cfg.seed``, the
+    method and the preset name, so its report does not depend on which
+    other cells are in the grid; a failing cell is recorded in
+    ``failures`` instead of aborting the rest of the table.
     """
     methods = tuple(Method(m) for m in methods)
     reports: dict[tuple[str, str], EvaluationReport] = {}
     failures: dict[tuple[str, str], Exception] = {}
-    for mi, method in enumerate(methods):
-        for pi, preset in enumerate(presets):
-            cell_seed = int(
-                np.random.SeedSequence([cfg.seed, mi, pi]).generate_state(1)[0]
-            )
-            cell_cfg = replace(cfg, seed=cell_seed)
+    for method in methods:
+        for preset in presets:
+            cell_cfg = replace(cfg, seed=_cell_seed(cfg.seed, method, preset.name))
             key = (method.value, preset.name)
             try:
                 reports[key] = rolling_window_evaluate(

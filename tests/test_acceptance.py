@@ -24,8 +24,7 @@ from simplex_langevin.geometry import (
 from simplex_langevin.objectives import (
     PortfolioLoss,
     finite_difference_gradient,
-    portfolio_loss,
-    portfolio_loss_grad,
+    portfolio_objective,
 )
 from simplex_langevin.objectives import test_function as benchmark
 from simplex_langevin.optimizers import (
@@ -294,13 +293,11 @@ def test_criterion_05_gradient_checks():
     panel = np.clip(np.random.default_rng(1).normal(0.002, 0.02, (30, 4)),
                     -0.5, None)
     for preset in RISK_PRESETS.values():
-        loss = PortfolioLoss(panel, preset.lambdas)
+        obj = portfolio_objective(PortfolioLoss(panel, preset.lambdas))
         for _ in range(100):
             w = lift_to_interior(rng.dirichlet(np.ones(4)), floor=0.01)
-            analytic = portfolio_loss_grad(loss, w)
-            numeric = finite_difference_gradient(
-                lambda v: portfolio_loss(loss, v), w
-            )
+            analytic = obj.gradient(w)
+            numeric = finite_difference_gradient(obj, w)
             worst = max(worst, rel_gap(analytic, numeric))
 
     elapsed = time.perf_counter() - started

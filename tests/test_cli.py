@@ -19,6 +19,10 @@ RETURNS_CSV = """date,a,b
 """
 
 
+# stands for the path of the ``returns_file`` fixture in parametrized argv
+RETURNS = "<returns>"
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -103,9 +107,13 @@ class TestExitCodes:
             ["sweep", "--objective", "f1", "--samples", "0"],
             ["noise-check", "--init", "0.5,0.5,0"],  # a coordinate at 0
             ["noise-check", "--init", "0.6,0.5,-0.1"],  # a negative one
+            ["noise-check", "--objective", "f9"],
+            ["portfolio", "--returns", RETURNS, "--preset", "bogus"],
+            ["optimize", "--returns", RETURNS, "--preset", "mv,mvsk"],
         ],
     )
-    def test_usage_errors_exit_2(self, argv, tmp_path, capsys):
+    def test_usage_errors_exit_2(self, argv, returns_file, tmp_path, capsys):
+        argv = [returns_file if a == RETURNS else a for a in argv]
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
     def test_both_objective_and_returns_exit_2(self, returns_file, tmp_path):

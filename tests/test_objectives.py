@@ -8,8 +8,6 @@ from simplex_langevin.objectives import (
     PortfolioLoss,
     TEST_FUNCTION_IDS,
     finite_difference_gradient,
-    portfolio_loss,
-    portfolio_loss_grad,
     portfolio_moments,
     portfolio_objective,
 )
@@ -112,10 +110,22 @@ class TestBenchmarkFunctions:
             obj.value(point)
         with pytest.raises(ValueError, match=f"{fid} expects a vector"):
             obj.gradient(point)
+        with pytest.raises(ValueError, match=f"{fid} expects a vector"):
+            obj.value_and_grad(point)
+
+    @pytest.mark.parametrize("fid", TEST_FUNCTION_IDS)
+    def test_value_and_grad_matches_value_and_gradient(self, fid):
+        obj = benchmark(fid)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            x = interior_point(rng, obj.dim)
+            value, grad = obj.value_and_grad(x)
+            assert value == obj.value(x)
+            assert np.array_equal(grad, obj.gradient(x))
 
     def test_objective_block_validation(self):
         with pytest.raises(ValueError):
-            Objective("bad", 3, (2, 2), lambda p: 0.0, lambda p: np.zeros(3))
+            Objective("bad", 3, (2, 2), lambda p: (0.0, np.zeros(3)))
 
 
 class TestPortfolioLoss:
@@ -131,31 +141,36 @@ class TestPortfolioLoss:
 
     def test_mean_only_loss_hand_value(self):
         loss = PortfolioLoss(self.returns, [1.0])
-        assert_allclose(portfolio_loss(loss, self.w), -0.025, rtol=1e-12)
+        assert_allclose(portfolio_objective(loss).value(self.w), -0.025,
+                        rtol=1e-12)
 
     def test_mean_variance_loss_hand_value(self):
         loss = PortfolioLoss(self.returns, [0.5, 0.5])
-        assert_allclose(portfolio_loss(loss, self.w), -0.0124875, rtol=1e-12)
+        assert_allclose(portfolio_objective(loss).value(self.w), -0.0124875,
+                        rtol=1e-12)
 
     def test_mean_only_gradient_is_negated_mean_return(self):
         loss = PortfolioLoss(self.returns, [1.0])
-        assert_allclose(portfolio_loss_grad(loss, self.w), [-0.02, -0.03],
-                        rtol=1e-12)
+        assert_allclose(portfolio_objective(loss).gradient(self.w),
+                        [-0.02, -0.03], rtol=1e-12)
 
     def test_mean_only_loss_is_linear(self):
         rng = np.random.default_rng(5)
         returns = rng.normal(0.001, 0.02, (40, 6))
-        loss = PortfolioLoss(returns, [1.0, 0.0, 0.0, 0.0, 0.0])
+        obj = portfolio_objective(
+            PortfolioLoss(returns, [1.0, 0.0, 0.0, 0.0, 0.0])
+        )
         rbar = returns.mean(axis=0)
         for _ in range(20):
             w = interior_point(rng, 6)
-            assert abs(portfolio_loss(loss, w) + float(w @ rbar)) < 1e-12
+            assert abs(obj.value(w) + float(w @ rbar)) < 1e-12
 
     def test_alternating_sign_identity(self):
         rng = np.random.default_rng(9)
         returns = rng.normal(0.0, 0.05, (30, 4))
         lambdas = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
         loss = PortfolioLoss(returns, lambdas)
+        obj = portfolio_objective(loss)
         for _ in range(20):
             w = interior_point(rng, 4)
             p = returns @ w
@@ -165,30 +180,40 @@ class TestPortfolioLoss:
                 (-1.0) ** k * lambdas[k - 1] * moments[k - 1]
                 for k in range(1, 6)
             )
-            assert_allclose(portfolio_loss(loss, w), expected, rtol=1e-12,
-                            atol=1e-18)
+            assert_allclose(obj.value(w), expected, rtol=1e-12, atol=1e-18)
             assert_allclose(portfolio_moments(loss, w), moments, rtol=1e-12,
                             atol=1e-18)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(33)
         returns = rng.normal(0.001, 0.03, (25, 5))
-        loss = PortfolioLoss(returns, [0.25, 0.25, 0.25, 0.25, 0.0])
-        fun = lambda w: portfolio_loss(loss, w)
+        obj = portfolio_objective(
+            PortfolioLoss(returns, [0.25, 0.25, 0.25, 0.25, 0.0])
+        )
         for _ in range(10):
             w = interior_point(rng, 5)
-            approx = finite_difference_gradient(fun, w)
-            assert_allclose(portfolio_loss_grad(loss, w), approx,
-                            rtol=0, atol=1e-8)
+            approx = finite_difference_gradient(obj, w)
+            assert_allclose(obj.gradient(w), approx, rtol=0, atol=1e-8)
 
     def test_objective_wrapper(self):
         loss = PortfolioLoss(self.returns, [0.5, 0.5])
         obj = portfolio_objective(loss, name="demo")
         assert obj.name == "demo"
         assert obj.dim == 2 and obj.block_dims == (2,)
-        assert obj.value(self.w) == portfolio_loss(loss, self.w)
-        assert np.array_equal(obj.gradient(self.w),
-                              portfolio_loss_grad(loss, self.w))
+        # p = (0.03, 0.02), c = (0.005, −0.005), r̄ = (0.02, 0.03):
+        # −½ r̄ + ½ (2/2) Σ_t c_t (r_t − r̄) = (−0.01005, −0.0149)
+        assert_allclose(obj.value(self.w), -0.0124875, rtol=1e-12)
+        assert_allclose(obj.gradient(self.w), [-0.01005, -0.0149], rtol=1e-12)
+
+    def test_value_and_grad_matches_value_and_gradient(self):
+        rng = np.random.default_rng(21)
+        returns = rng.normal(0.001, 0.03, (25, 5))
+        obj = portfolio_objective(PortfolioLoss(returns, [0.2] * 5))
+        for _ in range(10):
+            w = interior_point(rng, 5)
+            value, grad = obj.value_and_grad(w)
+            assert value == obj.value(w)
+            assert np.array_equal(grad, obj.gradient(w))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -39,8 +39,7 @@ def linear_objective(c):
         name="linear",
         dim=c.size,
         block_dims=(c.size,),
-        eval_fn=lambda p: float(p @ c),
-        grad_fn=lambda p: c.copy(),
+        fn=lambda p: (float(p @ c), c.copy()),
     )
 
 
@@ -273,6 +272,21 @@ class TestRunOptimizer:
             run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], cfg)
         assert info.value.iteration == 1
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_one_evaluation_per_iterate(self, method):
+        f1 = benchmark("f1")
+        points = []
+
+        def counted(p):
+            points.append(p.copy())
+            return f1.value_and_grad(p)
+
+        obj = Objective(name="counted-f1", dim=3, block_dims=(3,), fn=counted)
+        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=25, seed=4)
+        traj = run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
+        assert len(points) == cfg.max_iters + 1
+        assert np.array_equal(np.array(points), traj.points)
+
     def test_step_size_error_propagates(self):
         obj = linear_objective([5.0, -5.0])
         cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)
@@ -310,8 +324,10 @@ def two_block_objective():
         name="f1+f2",
         dim=6,
         block_dims=(3, 3),
-        eval_fn=lambda p: f1.value(p[:3]) + f2.value(p[3:]),
-        grad_fn=lambda p: np.concatenate([f1.gradient(p[:3]), f2.gradient(p[3:])]),
+        fn=lambda p: (
+            f1.value(p[:3]) + f2.value(p[3:]),
+            np.concatenate([f1.gradient(p[:3]), f2.gradient(p[3:])]),
+        ),
     )
 
 
@@ -362,7 +378,7 @@ class TestMultiBlockRun:
         # vertex (S_x ≈ 201), so only the second block degenerates
         obj = Objective(
             name="two-blocks", dim=5, block_dims=(2, 3),
-            eval_fn=lambda p: 0.0, grad_fn=lambda p: np.zeros(5),
+            fn=lambda p: (0.0, np.zeros(5)),
         )
         cfg = LmwuConfig(eps=0.01, beta=0.5, max_iters=5)
         with pytest.raises(StepFailureError) as info:
