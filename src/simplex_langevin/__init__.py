@@ -34,7 +34,6 @@ from .optimizers import (
     StepSizeError,
     TheoryBudget,
     Trajectory,
-    lmwu_multi_step,
     lmwu_step,
     mwu_exponential_step,
     mwu_linear_step,
@@ -90,7 +89,6 @@ __all__ = [
     "StepSizeError",
     "TheoryBudget",
     "Trajectory",
-    "lmwu_multi_step",
     "lmwu_step",
     "mwu_exponential_step",
     "mwu_linear_step",

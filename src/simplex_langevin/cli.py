@@ -6,12 +6,15 @@ Subcommands: ``optimize`` (single run → trajectory CSV), ``compare``
 (rolling-window evaluation grid → report CSV), and ``noise-check``
 (empirical moments of the update noise against their analytic values).
 
-Value resolution, highest priority first: explicit flags, then a
-``--config`` file (JSON object or ``key=value`` lines), then the
-``SIMPLEX_LANGEVIN_SEED`` environment variable (seed only), then the bundled
-per-objective experiment presets (active with ``--init paper``), then hard
-defaults. All CSV cells use 17-significant-digit floats so identical runs
-produce byte-identical files.
+Each subcommand declares only the flags it reads (``_COMMANDS``). ``main``
+merges a ``--config`` file (JSON object or ``key=value`` lines) into them
+once: each key is one of those value flags, its value parses like the same
+text on the command line, and it fills only a flag left unset. Every run
+config comes from ``_resolve_cfg``: the objective source's defaults (the
+portfolio fit config for ``--returns``, the per-objective preset for
+``--init paper``, else the generic preset) under the set flags, with an unset
+seed read from ``SIMPLEX_LANGEVIN_SEED``. CSV cells use 17-significant-digit
+floats, so identical runs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
-    DEFAULT_FLOOR,
     DegeneratePointError,
     RetractionFailureError,
     barycenter,
@@ -71,36 +73,31 @@ EXIT_USAGE = 2
 
 DETERMINISTIC_METHODS = (Method.LINEAR_MWU, Method.EXP_MWU)
 
-# fallback step sizes when neither flags, config, nor a preset supply one
-DEFAULT_DET_EPS = 1e-3
-DEFAULT_STOCH_EPS = 1e-4
-DEFAULT_BETA = 100.0
 DEFAULT_ITERS = 10_000
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
     """Bundled benchmark configuration: init point, per-family step sizes,
-    and the inverse temperatures used in the reference experiments."""
+    and the inverse temperature (the largest of the reference experiments)."""
 
     init: tuple[float, ...]
     det_eps: float
     stoch_eps: float
-    betas: tuple[float, ...]
+    beta: float
 
 
 PAPER_PRESETS: dict[str, ExperimentPreset] = {
-    "f1": ExperimentPreset((0.3, 0.6, 0.1), 1e-3, 1e-4, (10.0, 50.0, 100.0)),
-    "f2": ExperimentPreset((0.4, 0.1, 0.5), 1e-3, 5e-5, (10.0, 50.0, 100.0)),
-    "f3": ExperimentPreset((0.2, 0.75, 0.05), 1e-2, 1e-3, (10.0, 2000.0, 5000.0)),
-    "f4": ExperimentPreset((0.5, 0.4, 0.1), 1e-2, 2e-4, (1000.0, 2000.0, 8000.0)),
-    "f5": ExperimentPreset(
-        (0.1, 0.05, 0.4, 0.4, 0.05), 5e-2, 5e-3, (800.0, 2000.0, 3000.0)
-    ),
-    "f6": ExperimentPreset(
-        (0.4, 0.1, 0.1, 0.2, 0.1, 0.1), 1e-4, 1e-4, (300.0, 3000.0, 8000.0)
-    ),
+    "f1": ExperimentPreset((0.3, 0.6, 0.1), 1e-3, 1e-4, 100.0),
+    "f2": ExperimentPreset((0.4, 0.1, 0.5), 1e-3, 5e-5, 100.0),
+    "f3": ExperimentPreset((0.2, 0.75, 0.05), 1e-2, 1e-3, 5000.0),
+    "f4": ExperimentPreset((0.5, 0.4, 0.1), 1e-2, 2e-4, 8000.0),
+    "f5": ExperimentPreset((0.1, 0.05, 0.4, 0.4, 0.05), 5e-2, 5e-3, 3000.0),
+    "f6": ExperimentPreset((0.4, 0.1, 0.1, 0.2, 0.1, 0.1), 1e-4, 1e-4, 8000.0),
 }
+
+# the run defaults of a bundled objective without --init paper; no init point
+GENERIC_PRESET = ExperimentPreset((), 1e-3, 1e-4, 100.0)
 
 
 class UsageError(Exception):
@@ -127,16 +124,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_fmt(c) for c in row])
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             cfg = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -156,29 +150,68 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(args, config: dict, key: str, cast, fallback):
-    """flags > config > fallback, with casting applied to config values."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
+def _merge_config(args) -> None:
+    """Fill the value flags left unset on the command line from the
+    ``--config`` file. Each key must be one of the subcommand's value flags;
+    its value is parsed by that flag's type from ``str(value)``."""
+    if args.config is None:
+        return
+    value_flags = [
+        f for f in _COMMANDS[args.command][2] if "action" not in _FLAGS[f]
+    ]
+    for key, value in _load_config(args.config).items():
+        if key not in value_flags:
+            raise UsageError(
+                f"unknown config key {key!r} for {args.command} "
+                f"(expected one of {', '.join(value_flags)})"
+            )
         try:
-            return cast(config[key])
-        except (TypeError, ValueError) as exc:
+            parsed = _FLAGS[key].get("type", str)(str(value))
+        except ValueError as exc:
             raise UsageError(f"config value for {key!r}: {exc}") from exc
-    return fallback
+        if getattr(args, key) is None:
+            setattr(args, key, parsed)
 
 
-def _pick_seed(args, config: dict) -> int:
-    """flags > config > the ``SIMPLEX_LANGEVIN_SEED`` variable > 0."""
-    seed = _pick(args, config, "seed", int, None)
-    if seed is not None:
-        return seed
-    env = os.environ.get(ENV_SEED, "0")
+def _env_seed(default: int) -> int:
+    """The ``SIMPLEX_LANGEVIN_SEED`` variable, or ``default`` if it is unset."""
+    env = os.environ.get(ENV_SEED)
+    if env is None:
+        return default
     try:
         return int(env)
     except ValueError as exc:
         raise UsageError(f"{ENV_SEED} must be an integer: {env!r}") from exc
+
+
+# the LmwuConfig field that each run-config flag sets
+_CFG_FIELDS = {"eps": "eps", "beta": "beta", "iters": "max_iters", "floor": "floor"}
+
+
+def _resolve_cfg(args, defaults: LmwuConfig) -> LmwuConfig:
+    """``defaults`` with the seed resolved (flag, then the environment) and
+    every set run-config flag applied; ``LmwuConfig`` validates the result."""
+    seed = _env_seed(defaults.seed) if args.seed is None else args.seed
+    flags = {
+        field: getattr(args, flag)
+        for flag, field in _CFG_FIELDS.items()
+        if getattr(args, flag, None) is not None
+    }
+    try:
+        return replace(defaults, seed=seed, **flags)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _run_cfg(args, preset: ExperimentPreset | None, method: Method) -> LmwuConfig:
+    """The run config of ``method``: the portfolio fit config for a
+    ``--returns`` objective (no preset), else the preset's defaults."""
+    if preset is None:
+        return _resolve_cfg(args, DEFAULT_FIT_CONFIG)
+    eps = preset.det_eps if method in DETERMINISTIC_METHODS else preset.stoch_eps
+    return _resolve_cfg(
+        args, LmwuConfig(eps=eps, beta=preset.beta, max_iters=DEFAULT_ITERS)
+    )
 
 
 def _parse_method(text: str) -> Method:
@@ -220,21 +253,20 @@ def _parse_init(
     return np.array(values, dtype=float)
 
 
-def _objective_id(args, config: dict) -> str | None:
+def _objective_id(text: str | None) -> str | None:
     """The ``--objective`` id, checked against the bundled ids, or None."""
-    objective_id = _pick(args, config, "objective", str, None)
-    if objective_id is not None and objective_id not in TEST_FUNCTION_IDS:
+    if text is not None and text not in TEST_FUNCTION_IDS:
         raise UsageError(
-            f"unknown objective {objective_id!r} "
+            f"unknown objective {text!r} "
             f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
         )
-    return objective_id
+    return text
 
 
-def _risk_presets(args, config: dict, *, single: bool) -> list[RiskPreset]:
+def _risk_presets(text: str | None, *, single: bool) -> list[RiskPreset]:
     """The ``--preset`` risk presets (default ``equal``): exactly one name
     when ``single``, otherwise a comma list of names or ``all``."""
-    text = _pick(args, config, "preset", str, "equal")
+    text = "equal" if text is None else text
     if text == "all" and not single:
         return list(RISK_PRESETS.values())
     names = [t.strip() for t in text.split(",") if t.strip()]
@@ -248,77 +280,38 @@ def _risk_presets(args, config: dict, *, single: bool) -> list[RiskPreset]:
     return [RISK_PRESETS[n] for n in names]
 
 
-def _resolve_objective(args, config: dict):
-    """Returns (objective, preset-or-None, from_returns flag)."""
-    objective_id = _objective_id(args, config)
-    returns_path = _pick(args, config, "returns", str, None)
-    if (objective_id is None) == (returns_path is None):
+def _resolve_objective(args):
+    """Returns (objective, preset, init). The preset supplies the run
+    defaults; it is None for a ``--returns`` objective."""
+    objective_id = _objective_id(args.objective)
+    if (objective_id is None) == (args.returns is None):
         raise UsageError("exactly one of --objective or --returns is required")
     if objective_id is not None:
-        return test_function(objective_id), PAPER_PRESETS[objective_id], False
-    panel = load_returns(returns_path)
-    (preset,) = _risk_presets(args, config, single=True)
-    loss = PortfolioLoss(panel.returns, preset.lambdas)
-    return portfolio_objective(loss, name=f"portfolio[{preset.name}]"), None, True
-
-
-def _resolve_cfg(
-    args,
-    config: dict,
-    method: Method,
-    preset: ExperimentPreset | None,
-    from_returns: bool,
-    use_preset: bool,
-) -> LmwuConfig:
-    deterministic = method in DETERMINISTIC_METHODS
-    if from_returns:
-        eps_default = DEFAULT_FIT_CONFIG.eps
-        beta_default = DEFAULT_FIT_CONFIG.beta
-        iters_default = DEFAULT_FIT_CONFIG.max_iters
-        floor_default = DEFAULT_FIT_CONFIG.floor
+        objective = test_function(objective_id)
+        paper = args.init == "paper"
+        preset = PAPER_PRESETS[objective_id] if paper else GENERIC_PRESET
     else:
-        if use_preset and preset is not None:
-            eps_default = preset.det_eps if deterministic else preset.stoch_eps
-            beta_default = max(preset.betas)
-        else:
-            eps_default = DEFAULT_DET_EPS if deterministic else DEFAULT_STOCH_EPS
-            beta_default = DEFAULT_BETA
-        iters_default = DEFAULT_ITERS
-        floor_default = DEFAULT_FLOOR
-    try:
-        return LmwuConfig(
-            eps=_pick(args, config, "eps", float, eps_default),
-            beta=_pick(args, config, "beta", float, beta_default),
-            max_iters=_pick(args, config, "iters", int, iters_default),
-            seed=_pick_seed(args, config),
-            floor=_pick(args, config, "floor", float, floor_default),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        panel = load_returns(args.returns)
+        (risk,) = _risk_presets(args.preset, single=True)
+        loss = PortfolioLoss(panel.returns, risk.lambdas)
+        objective = portfolio_objective(loss, name=f"portfolio[{risk.name}]")
+        preset = None
+    return objective, preset, _parse_init(args.init, objective, preset)
 
 
-def _out_dir(args, config: dict) -> str:
-    out = _pick(args, config, "out", str, ".")
+def _out_dir(args) -> str:
+    out = "." if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _trajectory_rows(traj):
-    for k in range(len(traj)):
-        yield (
-            [k, traj.f_values[k]]
-            + list(traj.points[k])
-            + [traj.clamped[k], traj.resampled[k]]
-        )
-
-
 def _write_trajectory(path: str, traj, dim: int) -> None:
-    header = (
-        ["iter", "f"]
-        + [f"x_{i}" for i in range(1, dim + 1)]
-        + ["clamped", "resampled"]
-    )
-    _write_csv(path, header, _trajectory_rows(traj))
+    header = ["iter", "f", *(f"x_{i}" for i in range(1, dim + 1)),
+              "clamped", "resampled"]
+    _write_csv(path, header, (
+        [k, traj.f_values[k], *traj.points[k], traj.clamped[k], traj.resampled[k]]
+        for k in range(len(traj))
+    ))
 
 
 def _print_final(traj) -> None:
@@ -332,36 +325,23 @@ def _print_final(traj) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
-    objective, preset, from_returns = _resolve_objective(args, config)
-    method = _parse_method(_pick(args, config, "method", str, Method.LMWU.value))
-    init_text = _pick(args, config, "init", str, None)
-    cfg = _resolve_cfg(
-        args, config, method, preset, from_returns, use_preset=init_text == "paper"
-    )
-    init = _parse_init(init_text, objective, preset)
+    objective, preset, init = _resolve_objective(args)
+    method = Method.LMWU if args.method is None else _parse_method(args.method)
+    cfg = _run_cfg(args, preset, method)
     traj = run_optimizer(method, objective, init, cfg)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     _write_trajectory(os.path.join(out, "trajectory.csv"), traj, objective.dim)
     _print_final(traj)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    objective, preset, from_returns = _resolve_objective(args, config)
-    methods = _parse_method_list(
-        _pick(args, config, "method", str, None), tuple(Method)
-    )
-    init_text = _pick(args, config, "init", str, None)
-    init = _parse_init(init_text, objective, preset)
-    out = _out_dir(args, config)
+    objective, preset, init = _resolve_objective(args)
+    methods = _parse_method_list(args.method, tuple(Method))
+    out = _out_dir(args)
     rows = []
     for method in methods:
-        cfg = _resolve_cfg(
-            args, config, method, preset, from_returns,
-            use_preset=init_text == "paper",
-        )
+        cfg = _run_cfg(args, preset, method)
         traj = run_optimizer(method, objective, init, cfg)
         _write_trajectory(
             os.path.join(out, f"trajectory_{method.value}.csv"),
@@ -382,24 +362,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    objective, preset, from_returns = _resolve_objective(args, config)
-    method = _parse_method(_pick(args, config, "method", str, Method.LMWU.value))
-    count = _pick(args, config, "samples", int, 20)
+    objective, preset, init = _resolve_objective(args)
+    method = Method.LMWU if args.method is None else _parse_method(args.method)
+    count = 20 if args.samples is None else args.samples
     if count < 1:
         raise UsageError("--samples must be >= 1 for sweep")
-    init_text = _pick(args, config, "init", str, None)
-    cfg = _resolve_cfg(
-        args, config, method, preset, from_returns, use_preset=init_text == "paper"
-    )
-    init = _parse_init(init_text, objective, preset)
+    cfg = _run_cfg(args, preset, method)
     rows = []
-    finals = []
     for seed in range(cfg.seed, cfg.seed + count):
         traj = run_optimizer(method, objective, init, replace(cfg, seed=seed))
         rows.append([seed, traj.final_f, traj.best_f])
-        finals.append(traj.final_f)
-    out = _out_dir(args, config)
+    finals = [row[1] for row in rows]
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "sweep.csv"), ["seed", "final_f", "best_f"], rows)
     print(f"seeds = {count}")
     print(f"min final f = {_fmt(min(finals))}")
@@ -408,34 +382,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_portfolio(args) -> int:
-    config = _load_config(args.config)
-    returns_path = _pick(args, config, "returns", str, None)
-    if returns_path is None:
+    if args.returns is None:
         raise UsageError("portfolio requires --returns")
-    panel = load_returns(returns_path)
-    presets = _risk_presets(args, config, single=False)
-    methods = _parse_method_list(
-        _pick(args, config, "method", str, None), tuple(Method)
-    )
-    window = _pick(args, config, "window", int, DEFAULT_WINDOW)
-    variant = _pick(args, config, "variant", str, "literal")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r} (expected {VARIANTS})")
-    cfg = _resolve_cfg(
-        args, config, Method.LMWU, None, from_returns=True, use_preset=False
-    )
-    if not 2 <= window < panel.n_periods:
-        raise UsageError(
-            f"--window must satisfy 2 <= window < T={panel.n_periods}"
-        )
+    panel = load_returns(args.returns)
+    presets = _risk_presets(args.preset, single=False)
+    methods = _parse_method_list(args.method, tuple(Method))
+    window = DEFAULT_WINDOW if args.window is None else args.window
+    variant = "literal" if args.variant is None else args.variant
+    cfg = _resolve_cfg(args, DEFAULT_FIT_CONFIG)
 
+    # a bad window or variant raises ValueError (exit 2) before any fit
     table = compare_methods(
         panel, presets, methods, cfg, window,
         variant=variant, warm_start=not args.no_warm_start,
     )
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     rows = []
-    failed = False
     for method, preset_name, report, error in table.iter_cells():
         if report is not None:
             rows.append([
@@ -455,7 +417,6 @@ def cmd_portfolio(args) -> int:
                     ),
                 )
         else:
-            failed = True
             rows.append([method.value, preset_name, "", "", variant, ""])
             print(
                 f"{method.value} {preset_name}: failed: {error}", file=sys.stderr
@@ -465,44 +426,39 @@ def cmd_portfolio(args) -> int:
         ["method", "preset", "score", "periods", "variant", "runtime_seconds"],
         rows,
     )
-    return EXIT_RUNTIME if failed else EXIT_OK
+    return EXIT_RUNTIME if table.failures else EXIT_OK
 
 
 def cmd_noise_check(args) -> int:
-    config = _load_config(args.config)
-    init_text = _pick(args, config, "init", str, None)
-    objective_id = _objective_id(args, config)
+    # draws at one point: of the run config it reads eps, beta, floor, seed
+    cfg = _resolve_cfg(args, LmwuConfig(eps=0.1, beta=1.0, max_iters=0))
+    objective_id = _objective_id(args.objective)
     if objective_id is not None:
         point = _parse_init(
-            init_text, test_function(objective_id), PAPER_PRESETS[objective_id]
+            args.init, test_function(objective_id), PAPER_PRESETS[objective_id]
         )
-    elif init_text in ("uniform", "paper"):
-        raise UsageError(f"--init {init_text} needs --objective")
-    elif init_text is not None:
-        point = _parse_init(init_text, None, None)
+    elif args.init in ("uniform", "paper"):
+        raise UsageError(f"--init {args.init} needs --objective")
+    elif args.init is not None:
+        point = _parse_init(args.init, None, None)
     else:
         point = barycenter(2)
-    floor = _pick(args, config, "floor", float, DEFAULT_FLOOR)
     try:
         point = simplex_point(point)
     except ValueError as exc:
         raise UsageError(f"noise-check point: {exc}") from exc
-    if point.min() < floor:
+    if point.min() < cfg.floor:
         raise UsageError(
-            f"noise-check point has a coordinate below floor {floor:.3e}"
+            f"noise-check point has a coordinate below floor {cfg.floor:.3e}"
         )
-    n_samples = _pick(args, config, "samples", int, 100_000)
+    n_samples = 100_000 if args.samples is None else args.samples
     if n_samples < 10_000:
         raise UsageError("--samples must be >= 10000 for a meaningful check")
-    eps = _pick(args, config, "eps", float, 0.1)
-    beta = _pick(args, config, "beta", float, 1.0)
-    seed = _pick_seed(args, config)
-    if eps <= 0 or beta <= 0:
-        raise UsageError("eps and beta must be positive")
+    eps, beta = cfg.eps, cfg.beta
 
-    drift = christoffel_drift(point, eps, beta, floor=floor)
-    rng = np.random.default_rng(seed)
-    draws = sample_noise(point, eps, beta, rng, floor=floor, size=n_samples)
+    drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
+    rng = np.random.default_rng(cfg.seed)
+    draws = sample_noise(point, eps, beta, rng, floor=cfg.floor, size=n_samples)
     values = draws.values
     var_expected = 2.0 * eps / beta * point
     mean = values.mean(axis=0)
@@ -522,8 +478,8 @@ def cmd_noise_check(args) -> int:
             f"z = {mean_z[i]:+.2f}), var {_fmt(var[i])} "
             f"(expected {_fmt(var_expected[i])}, z = {var_z[i]:+.2f})"
         )
-    if args.out is not None or "out" in config:
-        out = _out_dir(args, config)
+    if args.out is not None:
+        out = _out_dir(args)
         _write_csv(
             os.path.join(out, "noise_check.csv"),
             ["coord", "drift", "mean", "mean_z", "var_expected", "var", "var_z"],
@@ -539,23 +495,53 @@ def cmd_noise_check(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--objective", help="bundled objective id (f1..f6)")
-    sub.add_argument("--returns", help="returns CSV path (date,asset1,...)")
-    sub.add_argument("--method", help="update rule; comma list where supported")
-    sub.add_argument("--eps", type=float, help="step size")
-    sub.add_argument("--beta", type=float, help="inverse temperature")
-    sub.add_argument("--iters", type=int, help="iteration budget")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--floor", type=float, help="positivity floor")
-    sub.add_argument(
-        "--init", help="'uniform', 'paper', or comma-separated coordinates"
-    )
-    sub.add_argument("--window", type=int, help="rolling fit window length")
-    sub.add_argument("--preset", help="risk preset name (or 'all' for portfolio)")
-    sub.add_argument("--out", help="output directory (default: .)")
-    sub.add_argument("--samples", type=int, help="draw count / sweep width")
-    sub.add_argument("--config", help="config file: JSON object or key=value lines")
+# Every flag a subcommand can declare, with its add_argument keywords. The
+# value flags (those without an action) default to None, meaning unset.
+_FLAGS: dict[str, dict] = {
+    "objective": dict(help="bundled objective id (f1..f6)"),
+    "returns": dict(help="returns CSV path (date,asset1,...)"),
+    "preset": dict(help="risk preset name (or 'all' for portfolio)"),
+    "method": dict(help="update rule; comma list where supported"),
+    "init": dict(help="'uniform', 'paper', or comma-separated coordinates"),
+    "eps": dict(type=float, help="step size"),
+    "beta": dict(type=float, help="inverse temperature"),
+    "iters": dict(type=int, help="iteration budget"),
+    "seed": dict(type=int, help="RNG seed"),
+    "floor": dict(type=float, help="positivity floor"),
+    "window": dict(type=int, help="rolling fit window length"),
+    "variant": dict(help=f"out-of-sample loss variant {VARIANTS} (default literal)"),
+    "samples": dict(type=int, help="draw count / sweep width"),
+    "out": dict(help="output directory (default: .)"),
+    "per-period": dict(action="store_true", help="also write per_period_*.csv"),
+    "no-warm-start": dict(action="store_true", help="fit every window from uniform"),
+}
+
+_RUN_FLAGS = ("objective", "returns", "preset", "method", "init",
+              "eps", "beta", "iters", "seed", "floor", "out")
+
+# subcommand -> (handler, help, the flags it declares besides --config)
+_COMMANDS = {
+    "optimize": (cmd_optimize, "single run, writes trajectory.csv", _RUN_FLAGS),
+    "compare": (
+        cmd_compare, "run several methods from one init, writes summary.csv",
+        _RUN_FLAGS,
+    ),
+    "sweep": (
+        cmd_sweep, "one method over consecutive seeds, writes sweep.csv",
+        _RUN_FLAGS + ("samples",),
+    ),
+    "portfolio": (
+        cmd_portfolio,
+        "rolling-window out-of-sample evaluation, writes portfolio_report.csv",
+        ("returns", "preset", "method", "eps", "beta", "iters", "seed", "floor",
+         "window", "variant", "out", "per-period", "no-warm-start"),
+    ),
+    "noise-check": (
+        cmd_noise_check,
+        "compare empirical noise moments at a point with analytic values",
+        ("objective", "init", "eps", "beta", "seed", "floor", "samples", "out"),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -567,48 +553,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("optimize", help="single run, writes trajectory.csv")
-    _add_common(p)
-    p.set_defaults(handler=cmd_optimize)
-
-    p = subs.add_parser(
-        "compare", help="run several methods from one init, writes summary.csv"
-    )
-    _add_common(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = subs.add_parser(
-        "sweep", help="one method over consecutive seeds, writes sweep.csv"
-    )
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = subs.add_parser(
-        "portfolio",
-        help="rolling-window out-of-sample evaluation, writes portfolio_report.csv",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--variant", help=f"out-of-sample loss variant {VARIANTS} (default literal)"
-    )
-    p.add_argument(
-        "--per-period", action="store_true",
-        help="also write per_period_<method>_<preset>.csv files",
-    )
-    p.add_argument(
-        "--no-warm-start", action="store_true",
-        help="start every window fit from the uniform portfolio",
-    )
-    p.set_defaults(handler=cmd_portfolio)
-
-    p = subs.add_parser(
-        "noise-check",
-        help="compare empirical noise moments at a point with analytic values",
-    )
-    _add_common(p)
-    p.set_defaults(handler=cmd_noise_check)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        sub.add_argument("--config", help="config file: JSON object or key=value lines")
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -619,6 +569,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:
+        _merge_config(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,6 @@ __all__ = [
     "mwu_linear_step",
     "mwu_exponential_step",
     "lmwu_step",
-    "lmwu_multi_step",
     "projected_langevin_step",
     "run_optimizer",
     "theoretical_step_bound",
@@ -70,7 +69,7 @@ class StepFailureError(RuntimeError):
     """A stochastic step could not produce a valid point.
 
     ``iteration`` and ``block`` are filled in by the caller that knows them
-    (run loop / multi-block dispatcher); both may be None.
+    (run loop / block layout); both may be None.
     """
 
     def __init__(self, message: str, iteration: int | None = None,
@@ -125,8 +124,7 @@ class TheoryBudget:
 
     M, B bound the objective's smoothness/gradient, ``sigma`` the noise
     magnitude, ``alpha`` and ``C`` the log-Sobolev constants, ``delta`` the
-    target accuracy. ``m``, ``b``, ``A``, ``K`` are dissipativity/regularity
-    constants carried for documentation; only sign validation applies.
+    target accuracy.
     """
 
     M: float
@@ -135,21 +133,15 @@ class TheoryBudget:
     alpha: float
     C: float
     delta: float
-    m: float = 1.0
-    b: float = 0.0
-    A: float = 0.0
-    K: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("M", "B", "sigma", "alpha", "C", "delta", "m", "b", "A", "K"):
+        for name in ("M", "B", "sigma", "alpha", "C", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.M < 0 or self.B < 0 or self.sigma < 0:
             raise ValueError("M, B, sigma must be nonnegative")
         if self.alpha <= 0 or self.C <= 0 or self.delta <= 0:
             raise ValueError("alpha, C, delta must be positive")
-        if self.m <= 0 or self.b < 0 or self.A < 0 or self.K < 0:
-            raise ValueError("m must be positive; b, A, K nonnegative")
 
 
 class StepResult(NamedTuple):
@@ -349,34 +341,6 @@ class _BlockLayout:
                 f"iterate left the simplex (block sum {block.sum()!r}, "
                 f"min coord {block.min()!r})", block=b,
             )
-
-
-def lmwu_multi_step(
-    x: np.ndarray,
-    grad: np.ndarray,
-    block_dims: Sequence[int],
-    cfg: LmwuConfig,
-    rngs: Sequence[np.random.Generator],
-) -> StepResult:
-    """Apply :func:`lmwu_step` independently to each simplex block.
-
-    Each block consumes its own generator from ``rngs``, so results do not
-    depend on block iteration order beyond the fixed block layout. With a
-    single block this is bit-identical to ``lmwu_step`` on ``rngs[0]``.
-    """
-    x = np.asarray(x, dtype=float)
-    if sum(block_dims) != x.size:
-        raise ValueError("block dimensions must sum to the point dimension")
-    if len(rngs) != len(block_dims):
-        raise ValueError("need one RNG per block")
-    try:
-        return _BlockLayout(block_dims).step(
-            lmwu_step, x, np.asarray(grad, dtype=float), cfg, rngs
-        )
-    except StepFailureError as exc:
-        if exc.block is None:  # the lone block of a one-block layout
-            exc.block = 0
-        raise
 
 
 def _deterministic(step_fn):

@@ -400,8 +400,12 @@ def compare_methods(
 
     Cells are independent: each gets a seed derived from ``cfg.seed``, the
     method and the preset name, so its report does not depend on which
-    other cells are in the grid; a failing cell is recorded in
+    other cells are in the grid; a cell whose fit fails is recorded in
     ``failures`` instead of aborting the rest of the table.
+
+    Raises:
+        ValueError: window out of range or unknown variant, from the first
+            cell, before any fit.
     """
     methods = tuple(Method(m) for m in methods)
     reports: dict[tuple[str, str], EvaluationReport] = {}
@@ -415,7 +419,7 @@ def compare_methods(
                     panel, preset, method, cell_cfg, window,
                     variant=variant, warm_start=warm_start,
                 )
-            except (PortfolioFitError, ValueError) as exc:
+            except PortfolioFitError as exc:
                 failures[key] = exc
     return ScoreTable(
         methods=methods,

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, CSV outputs, precedence."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +28,31 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def without_runtime(path):
+    """The CSV rows without the wall-clock ``runtime_seconds`` column."""
+    header, rows = read_csv(path)
+    keep = [i for i, h in enumerate(header) if h != "runtime_seconds"]
+    return [[row[i] for i in keep] for row in [header] + rows]
+
+
+# the value flags of one run per subcommand, as typed JSON values
+CONFIG_RUNS = {
+    "optimize": {"objective": "f1", "method": "lmwu", "init": "paper",
+                 "eps": 1e-3, "beta": 50.0, "iters": 30, "seed": 3,
+                 "floor": 1e-9},
+    "compare": {"objective": "f2", "method": "lmwu,exp-mwu",
+                "init": "0.2,0.3,0.5", "eps": 1e-3, "iters": 20, "seed": 1},
+    "sweep": {"objective": "f3", "method": "proj-langevin", "beta": 2000,
+              "iters": 20, "samples": 3, "seed": 2},
+    "portfolio": {"returns": RETURNS, "preset": "mv,equal",
+                  "method": "linear-mwu,lmwu", "window": 3,
+                  "variant": "window-moments", "eps": 0.5, "beta": 1e8,
+                  "iters": 30, "floor": 1e-6, "seed": 4},
+    "noise-check": {"init": "0.7,0.2,0.1", "eps": 0.05, "beta": 2.0,
+                    "samples": 20000, "seed": 4, "floor": 1e-9},
+}
 
 
 @pytest.fixture()
@@ -110,6 +136,15 @@ class TestExitCodes:
             ["noise-check", "--objective", "f9"],
             ["portfolio", "--returns", RETURNS, "--preset", "bogus"],
             ["optimize", "--returns", RETURNS, "--preset", "mv,mvsk"],
+            # a flag the subcommand does not read
+            ["optimize", "--objective", "f1", "--iters", "3", "--window", "5"],
+            ["portfolio", "--returns", RETURNS, "--window", "3", "--iters", "5",
+             "--objective", "f1"],
+            ["noise-check", "--samples", "20000", "--iters", "5"],
+            # noise-check run settings go through the LmwuConfig checks
+            ["noise-check", "--eps", "nan"],
+            ["noise-check", "--beta", "inf"],
+            ["noise-check", "--samples", "20000", "--floor", "-1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, returns_file, tmp_path, capsys):
@@ -224,13 +259,46 @@ class TestConfigFile:
         assert len(rows) == 2
 
     @pytest.mark.parametrize(
-        "text", ["[1, 2]", "{not json", "just words\n", "iters: 3\n"]
+        "text",
+        [
+            "[1, 2]", "{not json", "just words\n", "iters: 3\n",
+            "itres=3\n",  # not a flag of optimize
+            '{"iters": 2.7}', '{"iters": true}',  # not int text
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, text, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        assert main(["optimize", "--objective", "f1",
+        assert main(["optimize", "--objective", "f1", "--out", str(tmp_path),
                      "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["key=value", "json"])
+    @pytest.mark.parametrize("command", list(CONFIG_RUNS))
+    def test_config_equals_flags(
+        self, command, fmt, returns_file, tmp_path, capsys
+    ):
+        values = {k: returns_file if v == RETURNS else v
+                  for k, v in CONFIG_RUNS[command].items()}
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        extra = ["--per-period"] if command == "portfolio" else []
+        flags = [a for k, v in values.items() for a in (f"--{k}", str(v))]
+        assert main([command, *flags, *extra, "--out", str(by_flags)]) == 0
+        flag_stdout = capsys.readouterr().out
+        values["out"] = str(by_config)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps(values) if fmt == "json" else
+                       "".join(f"{k}={v}\n" for k, v in values.items()))
+        assert main([command, "--config", str(cfg), *extra]) == 0
+        assert capsys.readouterr().out == flag_stdout
+        names = sorted(os.listdir(by_flags))
+        assert names and names == sorted(os.listdir(by_config))
+        for name in names:
+            if name == "portfolio_report.csv":
+                assert without_runtime(by_flags / name) == \
+                    without_runtime(by_config / name)
+            else:
+                assert (by_flags / name).read_bytes() == \
+                    (by_config / name).read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["optimize", "--objective", "f1",

@@ -14,7 +14,6 @@ from simplex_langevin.optimizers import (
     StepFailureError,
     StepSizeError,
     TheoryBudget,
-    lmwu_multi_step,
     lmwu_step,
     mwu_exponential_step,
     mwu_linear_step,
@@ -144,46 +143,6 @@ class TestLmwuStep:
         assert np.array_equal(a.point, b.point)
 
 
-class TestLmwuMultiStep:
-    def test_single_block_matches_plain_step(self):
-        cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=1)
-        x = np.array([0.3, 0.6, 0.1])
-        g = np.array([0.5, -1.0, 2.0])
-        plain = lmwu_step(x, g, cfg, np.random.default_rng(5))
-        multi = lmwu_multi_step(x, g, (3,), cfg, [np.random.default_rng(5)])
-        assert np.array_equal(plain.point, multi.point)
-        assert plain.clamped == multi.clamped
-        assert plain.resampled == multi.resampled
-
-    def test_identical_blocks_evolve_identically(self):
-        cfg = LmwuConfig(eps=1e-2, beta=10.0, max_iters=1)
-        x = np.array([0.4, 0.6, 0.4, 0.6])
-        g = np.array([1.0, -0.5, 1.0, -0.5])
-        res = lmwu_multi_step(
-            x, g, (2, 2), cfg,
-            [np.random.default_rng(9), np.random.default_rng(9)],
-        )
-        assert np.array_equal(res.point[:2], res.point[2:])
-
-    def test_failing_block_is_tagged(self):
-        cfg = LmwuConfig(eps=0.1, beta=1e-3, max_iters=1)
-        x = np.array([0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(StepFailureError) as info:
-            lmwu_multi_step(
-                x, np.zeros(4), (2, 2), cfg,
-                [np.random.default_rng(0), np.random.default_rng(1)],
-            )
-        assert info.value.block == 0
-
-    def test_layout_validation(self):
-        cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
-        with pytest.raises(ValueError):
-            lmwu_multi_step(np.array([0.5, 0.5]), np.zeros(2), (3,),
-                            cfg, [np.random.default_rng(0)])
-        with pytest.raises(ValueError):
-            lmwu_multi_step(np.array([0.5, 0.5]), np.zeros(2), (2,), cfg, [])
-
-
 class TestProjectedLangevinStep:
     def test_hand_value_with_collapsed_noise(self):
         y = projected_langevin_step(
@@ -264,6 +223,20 @@ class TestRunOptimizer:
         traj = run_optimizer("lmwu", obj, [0.2, 0.75, 0.05], cfg)
         assert np.abs(traj.points.sum(axis=1) - 1.0).max() < 1e-9
         assert traj.points.min() > 0.0
+
+    def test_single_block_lmwu_matches_hand_loop(self):
+        # a one-block run draws from default_rng(seed) itself; this setting
+        # drives the iterate to a vertex, so resamples and clamps occur
+        obj = linear_objective([0.5, 0.2, 0.9])
+        cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
+        traj = run_optimizer("lmwu", obj, np.full(3, 1.0 / 3.0), cfg)
+        rng = np.random.default_rng(cfg.seed)
+        x = np.full(3, 1.0 / 3.0)
+        for k in range(1, cfg.max_iters + 1):
+            x, clamped, resampled = lmwu_step(x, obj.gradient(x), cfg, rng)
+            assert np.array_equal(traj.points[k], x)
+            assert (traj.clamped[k], traj.resampled[k]) == (clamped, resampled)
+        assert traj.clamped.any() and traj.resampled.any()
 
     def test_step_failure_carries_iteration(self):
         obj = benchmark("f1")
@@ -371,6 +344,13 @@ class TestMultiBlockRun:
             assert np.array_equal(traj.points[:, 3 * b:3 * b + 3], np.array(points))
         assert np.array_equal(traj.clamped, clamped)
         assert np.array_equal(traj.resampled, resampled)
+
+    def test_init_validation_per_block(self):
+        obj = two_block_objective()
+        with pytest.raises(ValueError):  # the blocks sum to 0.9 and 1.1
+            run_optimizer("lmwu", obj, [0.3, 0.5, 0.1, 0.4, 0.1, 0.6], self.CFG)
+        with pytest.raises(ValueError):  # one coordinate short of the layout
+            run_optimizer("lmwu", obj, [0.3, 0.6, 0.1, 0.5, 0.5], self.CFG)
 
     def test_failure_carries_iteration_and_block(self):
         # ε/2β = 0.01: the drift sum is about −0.06 on the uniform first

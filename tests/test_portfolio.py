@@ -326,6 +326,19 @@ class TestCompareMethods:
         with pytest.raises(KeyError):
             table.score("lmwu", "mean-only")
 
+    @pytest.mark.parametrize("window, variant", [(8, "literal"), (4, "bogus")])
+    def test_bad_window_or_variant_raises_before_any_fit(
+        self, window, variant, monkeypatch
+    ):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr("simplex_langevin.portfolio.run_optimizer", no_fit)
+        panel = wiggly_panel(8, 2, seed=3)
+        with pytest.raises(ValueError):
+            compare_methods(panel, [MEAN_ONLY], ["linear-mwu", "lmwu"],
+                            DEFAULT_FIT_CONFIG, window, variant=variant)
+
     def test_cells_are_seeded_independently(self):
         panel = wiggly_panel(8, 2, seed=3)
         cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=40, floor=1e-6, seed=0)
