@@ -38,6 +38,7 @@ from .optimizers import (
     mwu_exponential_step,
     mwu_linear_step,
     projected_langevin_step,
+    run_chains,
     run_optimizer,
     theoretical_iteration_budget,
     theoretical_step_bound,
@@ -93,6 +94,7 @@ __all__ = [
     "mwu_exponential_step",
     "mwu_linear_step",
     "projected_langevin_step",
+    "run_chains",
     "run_optimizer",
     "theoretical_iteration_budget",
     "theoretical_step_bound",

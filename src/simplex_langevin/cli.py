@@ -2,9 +2,10 @@
 
 Subcommands: ``optimize`` (single run → trajectory CSV), ``compare``
 (several methods from one init → per-method trajectories + summary CSV),
-``sweep`` (one method over consecutive seeds → sweep CSV), ``portfolio``
-(rolling-window evaluation grid → report CSV), and ``noise-check``
-(empirical moments of the update noise against their analytic values).
+``sweep`` (one method over consecutive seeds, run as one batch → sweep
+CSV), ``portfolio`` (rolling-window evaluation grid → report CSV), and
+``noise-check`` (empirical moments of the update noise against their
+analytic values).
 
 Each subcommand declares only the flags it reads (``_COMMANDS``). ``main``
 merges a ``--config`` file (JSON object or ``key=value`` lines) into them
@@ -49,6 +50,7 @@ from .optimizers import (
     Method,
     StepFailureError,
     StepSizeError,
+    run_chains,
     run_optimizer,
 )
 from .portfolio import (
@@ -232,7 +234,8 @@ def _parse_method_list(text: str | None, default: tuple[Method, ...]):
 
 
 def _parse_init(
-    text: str | None, objective: Objective, preset: ExperimentPreset | None
+    text: str | None, objective: Objective | None,
+    preset: ExperimentPreset | None,
 ) -> np.ndarray:
     if text is None or text == "uniform":
         return np.concatenate([barycenter(d) for d in objective.block_dims])
@@ -250,6 +253,11 @@ def _parse_init(
             f"bad --init {text!r}: expected 'uniform', 'paper', or "
             "comma-separated coordinates"
         ) from None
+    if objective is not None and len(values) != objective.dim:
+        raise UsageError(
+            f"--init has {len(values)} coordinates, objective "
+            f"{objective.name!r} has {objective.dim}"
+        )
     return np.array(values, dtype=float)
 
 
@@ -287,6 +295,8 @@ def _resolve_objective(args):
     if (objective_id is None) == (args.returns is None):
         raise UsageError("exactly one of --objective or --returns is required")
     if objective_id is not None:
+        if args.preset is not None:
+            raise UsageError("--preset needs --returns, not --objective")
         objective = test_function(objective_id)
         paper = args.init == "paper"
         preset = PAPER_PRESETS[objective_id] if paper else GENERIC_PRESET
@@ -368,11 +378,10 @@ def cmd_sweep(args) -> int:
     if count < 1:
         raise UsageError("--samples must be >= 1 for sweep")
     cfg = _run_cfg(args, preset, method)
-    rows = []
-    for seed in range(cfg.seed, cfg.seed + count):
-        traj = run_optimizer(method, objective, init, replace(cfg, seed=seed))
-        rows.append([seed, traj.final_f, traj.best_f])
-    finals = [row[1] for row in rows]
+    seeds = range(cfg.seed, cfg.seed + count)
+    ends = run_chains(method, objective, init, cfg, seeds)
+    finals = ends.final_f.tolist()
+    rows = zip(seeds, finals, ends.best_f.tolist())
     out = _out_dir(args)
     _write_csv(os.path.join(out, "sweep.csv"), ["seed", "final_f", "best_f"], rows)
     print(f"seeds = {count}")

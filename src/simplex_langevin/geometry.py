@@ -7,7 +7,8 @@ drift of the metric Brownian motion, multiplicative Gaussian noise draws, the
 normalizing retraction that keeps iterates on the simplex, and the exact
 Euclidean projection used by the projected-Langevin baseline.
 
-All functions operate on plain 1-D float64 numpy arrays.
+All functions operate on plain 1-D float64 numpy arrays; ``christoffel_drift``
+and ``shahshahani_gradient`` also take (K, n) stacks of points, row by row.
 """
 from __future__ import annotations
 
@@ -164,7 +165,9 @@ def christoffel_drift(
     drift_i = (ε / 2β) · (n + 1 − (1 + x_i) · S_x) with S_x = Σ_j 1/x_j.
 
     Args:
-        x: strictly positive point, every coordinate >= ``floor``.
+        x: strictly positive point, every coordinate >= ``floor``; or a
+            (K, n) stack of such points, one drift row per point (S_x sums
+            over the last axis).
         eps: step size, > 0.
         beta: inverse temperature, > 0.
         floor: positivity floor below which the 1/x_j sums are untrusted.
@@ -180,8 +183,8 @@ def christoffel_drift(
         raise DegeneratePointError(
             f"coordinate {x.min():.3e} below floor {floor:.3e}"
         )
-    n = x.size
-    s = (1.0 / x).sum()
+    n = x.shape[-1]
+    s = (1.0 / x).sum(axis=-1, keepdims=True)
     return (0.5 * eps / beta) * (n + 1.0 - (1.0 + x) * s)
 
 

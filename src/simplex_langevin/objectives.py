@@ -66,6 +66,26 @@ class Objective:
         value, grad = self.fn(p)
         return float(value), grad
 
+    def values_and_grads(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(K,) values and (K, dim) gradients at the K rows of ``points``.
+
+        Row k is bit-identical to ``value_and_grad(points[k])``: f1 and f2
+        are evaluated in one vectorized pass, every other ``fn`` row by row.
+        """
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise ValueError(
+                f"{self.name} expects a (K, {self.dim}) array, got {p.shape}"
+            )
+        rows_fn = _ROWS_FNS.get(self.fn)
+        if rows_fn is not None:
+            return rows_fn(p)
+        values = np.empty(p.shape[0])
+        grads = np.empty(p.shape)
+        for k, row in enumerate(p):
+            values[k], grads[k] = self.fn(row)
+        return values, grads
+
     def value(self, point) -> float:
         return self.value_and_grad(point)[0]
 
@@ -98,6 +118,25 @@ def _double_well_log(p, qa, ca, qb, cb):
     return value, grad
 
 
+def _double_well_log_rows(p, qa, ca, qb, cb):
+    """:func:`_double_well_log` on each row of a (K, n) array, with the same
+    operations in the same order. exp and log stay ``math`` calls per row:
+    NumPy's vectorized exp and log may round differently."""
+    da = p - ca
+    db = p - cb
+    a = -(qa * da * da).sum(axis=-1)
+    b = -(qb * db * db).sum(axis=-1)
+    m = np.where(a >= b, a, b)
+    ea = np.array([math.exp(t) for t in (a - m).tolist()])
+    eb = np.array([math.exp(t) for t in (b - m).tolist()])
+    s = ea + eb
+    value = -(m + np.array([math.log(t) for t in s.tolist()]))
+    wa = (ea / s)[:, None]
+    wb = (eb / s)[:, None]
+    grad = wa * (2.0 * qa * da) + wb * (2.0 * qb * db)
+    return value, grad
+
+
 _F1_QA = np.array([10.0, 20.0, 30.0])
 _F1_CA = np.array([0.3, 0.5, 0.2])
 _F1_QB = np.array([30.0, 20.0, 36.0])
@@ -120,6 +159,23 @@ def _f2(p: np.ndarray) -> tuple[float, np.ndarray]:
     v, g = _double_well_log(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
     g[1] += 1.0
     return v + p[1], g
+
+
+def _f1_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v, g = _double_well_log_rows(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
+    g[:, 1] += 1.0
+    return v + p[:, 1] + 10.0, g
+
+
+def _f2_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v, g = _double_well_log_rows(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
+    g[:, 1] += 1.0
+    return v + p[:, 1], g
+
+
+# the vectorized (K, n) form of an ``fn``, where one exists; used by
+# Objective.values_and_grads
+_ROWS_FNS = {_f1: _f1_rows, _f2: _f2_rows}
 
 
 def _f3(p: np.ndarray) -> tuple[float, np.ndarray]:

@@ -10,8 +10,10 @@ Four update rules over (products of) probability simplices:
   projection (baseline).
 
 ``run_optimizer`` drives any of them for a fixed iteration count, recording
-every iterate, and ``theoretical_step_bound`` / ``theoretical_iteration_budget``
-evaluate the convergence-guarantee formulas for a given constant bundle.
+every iterate; ``run_chains`` runs one chain per seed as one array and keeps
+only where each ended; ``theoretical_step_bound`` and
+``theoretical_iteration_budget`` evaluate the convergence-guarantee formulas
+for a given constant bundle.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ import numpy as np
 from .geometry import (
     DEFAULT_FLOOR,
     SUM_TOL,
+    _pin_floor,
+    christoffel_drift,
     euclidean_simplex_projection,
     exp_map,
     lift_to_interior,
@@ -42,11 +46,13 @@ __all__ = [
     "StepSizeError",
     "StepFailureError",
     "Trajectory",
+    "ChainEnds",
     "mwu_linear_step",
     "mwu_exponential_step",
     "lmwu_step",
     "projected_langevin_step",
     "run_optimizer",
+    "run_chains",
     "theoretical_step_bound",
     "theoretical_iteration_budget",
 ]
@@ -250,7 +256,11 @@ def lmwu_step(
         # salvageable: only sign violations remain, clamp them away
         point, _ = normalize_retraction(numer, floor=cfg.floor)
         return StepResult(point, True, cfg.resample_limit > 0)
-    raise StepFailureError(
+    raise _denominator_failure(total, cfg)
+
+
+def _denominator_failure(total: float, cfg: LmwuConfig) -> StepFailureError:
+    return StepFailureError(
         f"update denominator {total:.3e} stayed below floor after "
         f"{cfg.resample_limit} resamples"
     )
@@ -336,11 +346,21 @@ class _BlockLayout:
 
     @staticmethod
     def _check(block: np.ndarray, b: int) -> None:
-        if abs(float(block.sum()) - 1.0) > SUM_TOL or block.min() <= 0.0:
-            raise StepFailureError(
-                f"iterate left the simplex (block sum {block.sum()!r}, "
-                f"min coord {block.min()!r})", block=b,
-            )
+        if _left_simplex(block):
+            raise _off_simplex_error(block, b)
+
+
+def _left_simplex(points: np.ndarray):
+    """Whether a point (or each row of a stack) has its sum off 1 by more
+    than ``SUM_TOL`` or a coordinate <= 0."""
+    return (np.abs(points.sum(axis=-1) - 1.0) > SUM_TOL) | (points.min(axis=-1) <= 0.0)
+
+
+def _off_simplex_error(block: np.ndarray, b: int) -> StepFailureError:
+    return StepFailureError(
+        f"iterate left the simplex (block sum {block.sum()!r}, "
+        f"min coord {block.min()!r})", block=b,
+    )
 
 
 def _deterministic(step_fn):
@@ -360,8 +380,21 @@ _BLOCK_STEPS = {
 
 
 # ---------------------------------------------------------------------------
-# run loop
+# run loops
 # ---------------------------------------------------------------------------
+
+def _initial_point(objective: Objective, init, floor: float):
+    """``init`` as a validated float vector, and the objective's blocks."""
+    x = np.array(init, dtype=float)
+    if x.shape != (objective.dim,):
+        raise ValueError(
+            f"init has shape {x.shape}, objective {objective.name!r} expects "
+            f"({objective.dim},)"
+        )
+    layout = _BlockLayout(objective.block_dims)
+    layout.validate_init(x, floor)
+    return x, layout
+
 
 def run_optimizer(
     method: Method | str,
@@ -384,14 +417,7 @@ def run_optimizer(
         StepSizeError: a linear MWU multiplier went nonpositive.
     """
     step = _BLOCK_STEPS[Method(method)]
-    x = np.array(init, dtype=float)
-    if x.shape != (objective.dim,):
-        raise ValueError(
-            f"init has shape {x.shape}, objective {objective.name!r} expects "
-            f"({objective.dim},)"
-        )
-    layout = _BlockLayout(objective.block_dims)
-    layout.validate_init(x, cfg.floor)
+    x, layout = _initial_point(objective, init, cfg.floor)
     rngs = layout.rngs(cfg.seed)
 
     k_max = cfg.max_iters
@@ -412,6 +438,166 @@ def run_optimizer(
         points[k] = x
         f_values[k], grad = objective.value_and_grad(x)
     return Trajectory(points, f_values, clamped, resampled)
+
+
+class ChainEnds(NamedTuple):
+    """Where the chains of :func:`run_chains` ended, one row per seed: the
+    (K, n) final points, the (K,) final values and the (K,) lowest values
+    along each chain."""
+
+    final_points: np.ndarray
+    final_f: np.ndarray
+    best_f: np.ndarray
+
+
+# chains advanced as one array; longer seed lists run in slices of this
+# width, so memory does not grow with the number of seeds
+_CHAIN_SLICE = 256
+# normals drawn from a chain's generator at once (rounded down to whole draws)
+_NORMAL_BLOCK = 768
+
+
+class _Normals:
+    """Each chain's standard normals in draw order, one n-vector per draw.
+
+    A generator's normals do not depend on how calls split them, so drawing
+    a block of draws at once and handing them out in order gives each chain
+    the values ``rng.standard_normal(n)`` would give it, draw after draw.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], n: int):
+        self.rngs = rngs
+        self._buf = np.empty((len(rngs), max(1, _NORMAL_BLOCK // n), n))
+        self._used = np.full(len(rngs), self._buf.shape[1])
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each chain in ``rows`` (distinct indices)."""
+        for k in rows[self._used[rows] == self._buf.shape[1]]:
+            self._buf[k] = self.rngs[k].standard_normal(self._buf.shape[1:])
+            self._used[k] = 0
+        z = self._buf[rows, self._used[rows]]
+        self._used[rows] += 1
+        return z
+
+
+def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
+    """:func:`lmwu_step` on each row of ``x``, with the same operations in
+    the same order; only rejected rows draw again."""
+    eps, floor = cfg.eps, cfg.floor
+    base = x - eps * shahshahani_gradient(x, grad)
+    drift = christoffel_drift(x, eps, cfg.beta, floor=floor)
+    scale = np.sqrt((2.0 * eps / cfg.beta) * x)
+    numer = base + (drift + scale * normals.take(np.arange(len(x))))
+    total = numer.sum(axis=-1)
+    ok = (total > floor) & (numer.min(axis=-1) > 0.0)
+    for _ in range(cfg.resample_limit):
+        rows = np.flatnonzero(~ok)
+        if rows.size == 0:
+            break
+        redraw = base[rows] + (drift[rows] + scale[rows] * normals.take(rows))
+        numer[rows] = redraw
+        total[rows] = redraw.sum(axis=-1)
+        ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
+    # past its resamples a row keeps its last draw: clamped while the sum
+    # is above the floor, failed otherwise
+    failed = np.flatnonzero(~(total > floor))
+    m = int(failed[0]) if failed.size else len(x)
+    points = numer[:m] / total[:m, None]
+    for k in np.flatnonzero(points.min(axis=-1) < floor):
+        points[k] = _pin_floor(points[k], floor)
+    failure = (m, _denominator_failure(float(total[m]), cfg)) if failed.size else None
+    off = np.flatnonzero(_left_simplex(points))
+    if off.size:
+        k = int(off[0])
+        return points[:k], (k, _off_simplex_error(points[k], 0))
+    return points, failure
+
+
+def _rowwise(step):
+    """A method's one-point step applied to each row in turn."""
+
+    def rows_step(x, grad, cfg: LmwuConfig, normals: _Normals):
+        out = np.empty_like(x)
+        for k in range(len(x)):
+            try:
+                out[k] = step(x[k], grad[k], cfg, normals.rngs[k]).point
+                _BlockLayout._check(out[k], 0)
+            except (StepFailureError, StepSizeError) as exc:
+                return out[:k], (k, exc)
+        return out, None
+
+    return rows_step
+
+
+# the step of each method over the rows of a (K, n) array: returns the new
+# points of the rows before the first row that failed, and that row's
+# (index, error) or None
+_ROW_STEPS = {
+    method: _lmwu_rows if method is Method.LMWU else _rowwise(step)
+    for method, step in _BLOCK_STEPS.items()
+}
+
+
+def run_chains(
+    method: Method | str,
+    objective: Objective,
+    init,
+    cfg: LmwuConfig,
+    seeds,
+) -> ChainEnds:
+    """Run one chain of ``method`` per seed from ``init``, all advanced
+    together as one (K, n) array, and return where each ended.
+
+    Chain k ends bit-identical to
+    ``run_optimizer(method, objective, init, replace(cfg, seed=seeds[k]))``:
+    same final point, final value and lowest value. No per-step history is
+    kept; seeds run in slices of a fixed width.
+
+    Raises:
+        ValueError: an objective of several simplex blocks, no seeds, or a
+            bad init.
+        StepFailureError, StepSizeError: the error of the lowest-index chain
+            that fails, as ``run_optimizer`` raises it for that seed.
+    """
+    step = _ROW_STEPS[Method(method)]
+    if len(objective.block_dims) != 1:
+        raise ValueError("run_chains takes single-simplex objectives only")
+    x, layout = _initial_point(objective, init, cfg.floor)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run_chains needs at least one seed")
+    ends = [
+        _run_slice(step, objective, x, cfg,
+                   [layout.rngs(s)[0] for s in seeds[i:i + _CHAIN_SLICE]])
+        for i in range(0, len(seeds), _CHAIN_SLICE)
+    ]
+    return ChainEnds(*(np.concatenate(part) for part in zip(*ends)))
+
+
+def _run_slice(step, objective: Objective, init: np.ndarray, cfg: LmwuConfig,
+               rngs: list[np.random.Generator]):
+    x = np.tile(init, (len(rngs), 1))
+    f, grad = objective.values_and_grads(x)
+    best = f.copy()
+    normals = _Normals(rngs, init.size)
+    # chains [0, m) still run: a failing chain ends itself and every later
+    # one, so the failure kept is always that of the lowest-index chain
+    m = len(rngs)
+    failure = None
+    for k in range(1, cfg.max_iters + 1):
+        new, failed = step(x[:m], grad[:m], cfg, normals)
+        if failed is not None:
+            m, failure = failed
+            if isinstance(failure, StepFailureError) and failure.iteration is None:
+                failure.iteration = k
+            if m == 0:
+                break
+        x[:m] = new
+        f[:m], grad[:m] = objective.values_and_grads(x[:m])
+        np.minimum(best[:m], f[:m], out=best[:m])
+    if failure is not None:
+        raise failure
+    return x, f, best
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ class TestExitCodes:
             ["noise-check", "--eps", "nan"],
             ["noise-check", "--beta", "inf"],
             ["noise-check", "--samples", "20000", "--floor", "-1"],
+            # --preset selects the risk weights of a --returns objective
+            ["optimize", "--objective", "f1", "--preset", "bogus", "--iters", "3"],
+            ["sweep", "--objective", "f1", "--preset", "mv"],
+            # explicit coordinates must match the objective's dimension
+            ["noise-check", "--objective", "f5", "--init", "0.5,0.5",
+             "--samples", "20000"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, returns_file, tmp_path, capsys):
@@ -344,6 +350,18 @@ class TestSweep:
         assert [r[0] for r in rows] == ["5", "6", "7"]
         out = capsys.readouterr().out
         assert "min final f" in out and "median final f" in out
+
+    def test_reports_the_first_failing_seed(self, tmp_path, capsys):
+        # seeds 33 and 16 fail at earlier iterations (918 and 1118), but the
+        # per-seed order stops at seed 2, iteration 1191
+        code = main([
+            "sweep", "--objective", "f1", "--init", "paper", "--beta", "10",
+            "--iters", "1500", "--seed", "2", "--samples", "32",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "(iteration 1191)" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestPortfolio:

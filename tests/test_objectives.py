@@ -11,7 +11,10 @@ from simplex_langevin.objectives import (
     portfolio_moments,
     portfolio_objective,
 )
-from simplex_langevin.objectives import _LISTED_OPTIMA
+from simplex_langevin.objectives import (
+    _F1_CA, _F1_CB, _F1_QA, _F1_QB, _F2_CA, _F2_CB, _F2_QA, _F2_QB,
+    _LISTED_OPTIMA,
+)
 from simplex_langevin.objectives import test_function as benchmark
 
 # Values of each benchmark at its published optimum location, frozen from an
@@ -224,6 +227,55 @@ class TestPortfolioLoss:
             PortfolioLoss(self.returns, [1.5, -0.5])  # negative weight
         with pytest.raises(ValueError):
             PortfolioLoss(np.array([[np.inf, 0.0], [0.0, 0.0]]), [1.0])
+
+
+# Points where the two quadratic exponents a and b of f1 and f2 round to the
+# same float, so both wells weigh exactly ½ (found by bisection on a − b).
+WELL_TIES = {
+    "f1": ([0.35166068941806344, 0.34502554700000004, 0.303317044],
+           (_F1_QA, _F1_CA, _F1_QB, _F1_CB)),
+    "f2": ([0.3989988502747848, 0.349471893, 0.250530416],
+           (_F2_QA, _F2_CA, _F2_QB, _F2_CB)),
+}
+
+
+def exponents(p, qa, ca, qb, cb):
+    da, db = p - ca, p - cb
+    return -float((qa * da * da).sum()), -float((qb * db * db).sum())
+
+
+@pytest.mark.parametrize("name", TEST_FUNCTION_IDS + ("portfolio",))
+def test_values_and_grads_rows_equal_value_and_grad(name):
+    if name == "portfolio":
+        returns = np.random.default_rng(8).normal(0.001, 0.03, (40, 5))
+        obj = portfolio_objective(PortfolioLoss(returns, [0.2] * 5))
+    else:
+        obj = benchmark(name)
+    n = obj.dim
+    # interior points, enough of them that a vectorized exp, which rounds
+    # differently on a few percent of inputs, shows; each vertex with the
+    # other coordinates at the 1e-12 floor; and the uniform point with one
+    # coordinate moved to the floor
+    vertices = np.full((n, n), 1e-12)
+    np.fill_diagonal(vertices, 1.0 - (n - 1) * 1e-12)
+    faces = np.full((n, n), (1.0 - 1e-12) / (n - 1))
+    np.fill_diagonal(faces, 1e-12)
+    interior = np.random.default_rng(3).dirichlet(np.ones(n), size=1000)
+    rows = [interior, vertices, faces]
+    if name in WELL_TIES:
+        tie, wells = WELL_TIES[name]
+        a, b = exponents(np.array(tie), *wells)
+        assert a == b
+        rows.append([tie])
+    points = np.vstack(rows)
+    values, grads = obj.values_and_grads(points)
+    assert values.shape == (len(points),) and grads.shape == points.shape
+    for k, p in enumerate(points):
+        value, grad = obj.value_and_grad(p)
+        assert values[k] == value
+        assert np.array_equal(grads[k], grad)
+    with pytest.raises(ValueError, match=rf"expects a \(K, {n}\) array"):
+        obj.values_and_grads(points[:, 1:])
 
 
 class TestFiniteDifferenceGradient:

@@ -1,12 +1,14 @@
-"""Unit tests for the update rules, run loop, and guarantee formulas."""
+"""Unit tests for the update rules, run loops, and guarantee formulas."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from simplex_langevin.geometry import exp_map
-from simplex_langevin.objectives import Objective
+from simplex_langevin import optimizers
+from simplex_langevin.objectives import Objective, PortfolioLoss, portfolio_objective
 from simplex_langevin.objectives import test_function as benchmark
 from simplex_langevin.optimizers import (
     LmwuConfig,
@@ -18,6 +20,7 @@ from simplex_langevin.optimizers import (
     mwu_exponential_step,
     mwu_linear_step,
     projected_langevin_step,
+    run_chains,
     run_optimizer,
     theoretical_iteration_budget,
     theoretical_step_bound,
@@ -366,6 +369,90 @@ class TestMultiBlockRun:
         assert info.value.iteration == 1
         assert info.value.block == 1
         assert str(info.value).endswith("(iteration 1, block 1)")
+
+
+def chain_case(name):
+    """(objective, init, cfg) of one batched-chain case."""
+    if name == "portfolio":
+        # next to a vertex, where lmwu resamples and clamps at the 1e-6 floor
+        rng = np.random.default_rng(0)
+        returns = 0.01 * rng.standard_normal((60, 4)) + [0.02, 0.0, -0.01, 0.005]
+        obj = portfolio_objective(PortfolioLoss(returns, [0.5, 0.5]))
+        cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=40, floor=1e-6)
+        return obj, [0.9, 0.0998, 1e-4, 1e-4], cfg
+    init, beta = {
+        "f1": ((0.3, 0.6, 0.1), 100.0),
+        "f3": ((0.2, 0.75, 0.05), 5000.0),
+        "f6": ((0.4, 0.1, 0.1, 0.2, 0.1, 0.1), 8000.0),
+    }[name]
+    return benchmark(name), init, LmwuConfig(eps=1e-3, beta=beta, max_iters=200)
+
+
+def assert_chains_match_runs(method, obj, init, cfg, seeds):
+    ends = run_chains(method, obj, init, cfg, seeds)
+    assert ends.final_points.shape == (len(seeds), obj.dim)
+    for k, seed in enumerate(seeds):
+        traj = run_optimizer(method, obj, init, replace(cfg, seed=seed))
+        assert np.array_equal(ends.final_points[k], traj.final_point)
+        assert ends.final_f[k] == traj.final_f
+        assert ends.best_f[k] == traj.best_f
+
+
+class TestRunChains:
+    SEEDS = (5, 2, 9, 3)
+
+    @pytest.mark.parametrize("iters", [None, 0])
+    @pytest.mark.parametrize("name", ["f1", "f3", "f6", "portfolio"])
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_chain_equals_per_seed_run(self, method, name, iters):
+        obj, init, cfg = chain_case(name)
+        if iters is not None:
+            cfg = replace(cfg, max_iters=iters)
+        assert_chains_match_runs(method, obj, init, cfg, self.SEEDS)
+
+    def test_portfolio_case_resamples_and_clamps(self):
+        obj, init, cfg = chain_case("portfolio")
+        trajs = [run_optimizer("lmwu", obj, init, replace(cfg, seed=s))
+                 for s in self.SEEDS]
+        assert all(t.clamped.any() for t in trajs)
+        assert any((t.resampled & ~t.clamped).any() for t in trajs)
+
+    def test_slices_and_normal_blocks(self, monkeypatch):
+        # three chains per slice and two draws per normal block, so the
+        # seeds span slices and every chain refills its normals often
+        monkeypatch.setattr(optimizers, "_CHAIN_SLICE", 3)
+        monkeypatch.setattr(optimizers, "_NORMAL_BLOCK", 8)
+        obj, init, cfg = chain_case("portfolio")
+        assert_chains_match_runs("lmwu", obj, init, cfg, range(7))
+
+    def test_lowest_index_failure_is_raised(self):
+        # seeds 33 and 16 fail first (iterations 918 and 1118), but seed 2,
+        # at iteration 1191, is the first failing seed of the per-seed loop
+        obj = benchmark("f1")
+        cfg = LmwuConfig(eps=1e-4, beta=10.0, max_iters=1500)
+        errors = {}
+        for seed in (2, 16, 33):
+            with pytest.raises(StepFailureError) as info:
+                run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], replace(cfg, seed=seed))
+            errors[seed] = info.value
+        assert [errors[s].iteration for s in (2, 16, 33)] == [1191, 1118, 918]
+        with pytest.raises(StepFailureError) as info:
+            run_chains("lmwu", obj, [0.3, 0.6, 0.1], cfg, range(2, 34))
+        assert str(info.value) == str(errors[2])
+
+    def test_step_size_error_propagates(self):
+        obj = linear_objective([5.0, -5.0])
+        cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)
+        with pytest.raises(StepSizeError):
+            run_chains("linear-mwu", obj, [0.5, 0.5], cfg, [0, 1])
+
+    def test_rejects_multi_block_objective_and_no_seeds(self):
+        cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=3)
+        init = [0.3, 0.6, 0.1, 0.4, 0.1, 0.5]
+        with pytest.raises(ValueError, match="single-simplex"):
+            run_chains("lmwu", two_block_objective(), init, cfg, [0, 1])
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_chains("lmwu", benchmark("f1"), init[:3], cfg, [])
 
 
 class TestGuaranteeFormulas:
