@@ -308,13 +308,16 @@ class PortfolioLoss:
     sample mean and m_k (k >= 2) its k-th biased (divide-by-T) sample central
     moment, the loss is Σ_k (−1)^k λ_k m_k — mean is rewarded, variance
     penalized, skewness rewarded, and so on with alternating signs. The
-    column means r̄ and the centred panel R − r̄ are computed once, here.
+    column means r̄, the centred panel R − r̄, the coefficients (−1)^k λ_k
+    and the orders k >= 2 with λ_k ≠ 0 are computed once, here.
     """
 
     returns: np.ndarray
     lambdas: np.ndarray
     _rbar: np.ndarray = field(init=False, repr=False, compare=False)
     _centred: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "returns", np.asarray(self.returns, dtype=float))
@@ -333,6 +336,11 @@ class PortfolioLoss:
         rbar = r.mean(axis=0)
         object.__setattr__(self, "_rbar", rbar)
         object.__setattr__(self, "_centred", r - rbar)
+        signs = np.array([(-1.0) ** k for k in range(1, lam.size + 1)])
+        object.__setattr__(self, "_coef", signs * lam)
+        object.__setattr__(self, "_orders", tuple(
+            k for k in range(2, lam.size + 1) if lam[k - 1] != 0.0
+        ))
 
     @property
     def n_assets(self) -> int:
@@ -343,44 +351,42 @@ class PortfolioLoss:
         return self.lambdas.size
 
 
-def _moment_signs(d: int) -> np.ndarray:
-    # coefficient of m_k is (-1)^k · λ_k
-    return np.array([(-1.0) ** k for k in range(1, d + 1)])
-
-
-def _moments(loss: PortfolioLoss, w) -> tuple[np.ndarray, np.ndarray]:
-    """(m_1, ..., m_d) at ``w`` and the centred return series c = p − m_1."""
+def _moments(loss: PortfolioLoss, w, orders) -> tuple[np.ndarray, list]:
+    """Moments (m_1, ..., m_d) at ``w`` with m_k set for the k >= 2 in
+    ``orders`` and left at 0 otherwise, and the powers [c, c**2, ...] of the
+    centred return series c = p − m_1 up to the highest of ``orders``, each
+    built once."""
     p = loss.returns @ np.asarray(w, dtype=float)
-    mu = p.mean()
-    out = np.empty(loss.order)
-    out[0] = mu
+    t_count = p.size
+    mu = np.add.reduce(p) / t_count
     c = p - mu
-    for k in range(2, loss.order + 1):
-        out[k - 1] = (c ** k).mean()
-    return out, c
+    powers = [c] + [c ** k for k in range(2, max(orders, default=1) + 1)]
+    m = np.zeros(loss.order)
+    m[0] = mu
+    for k in orders:
+        m[k - 1] = np.add.reduce(powers[k - 1]) / t_count
+    return m, powers
 
 
 def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     """Sample moments (m_1, ..., m_d) of the portfolio return series at ``w``."""
-    return _moments(loss, w)[0]
+    return _moments(loss, w, range(2, loss.order + 1))[0]
 
 
 def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple[float, np.ndarray]:
     """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``.
 
     ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
-    ∂m_k/∂w = (k/T)·Σ_t (p_t − μ)^{k−1} (r_t − r̄).
+    ∂m_k/∂w = (k/T)·Σ_t (p_t − μ)^{k−1} (r_t − r̄). Only the moments with
+    λ_k ≠ 0 are computed, so no power above the highest of them is built.
     """
-    m, c = _moments(loss, w)
-    signs = _moment_signs(loss.order)
-    value = float((signs * loss.lambdas * m).sum())
+    m, powers = _moments(loss, w, loss._orders)
+    value = float((loss._coef * m).sum())
     t_count = loss.returns.shape[0]
-    grad = signs[0] * loss.lambdas[0] * loss._rbar
-    for k in range(2, loss.order + 1):
-        if loss.lambdas[k - 1] == 0.0:
-            continue
-        dm = (k / t_count) * (c ** (k - 1)) @ loss._centred
-        grad = grad + signs[k - 1] * loss.lambdas[k - 1] * dm
+    grad = loss._coef[0] * loss._rbar
+    for k in loss._orders:
+        dm = (k / t_count) * powers[k - 2] @ loss._centred
+        grad = grad + loss._coef[k - 1] * dm
     return value, grad
 
 

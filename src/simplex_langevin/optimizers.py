@@ -33,7 +33,7 @@ from .geometry import (
     exp_map,
     lift_to_interior,
     normalize_retraction,
-    sample_noise,
+    sample_noise,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
     shahshahani_gradient,
 )
 from .objectives import Objective
@@ -242,12 +242,11 @@ def lmwu_step(
             still <= floor.
     """
     x = np.asarray(x, dtype=float)
-    base = x - cfg.eps * shahshahani_gradient(x, grad)
+    base, drift, scale = _lmwu_terms(x, grad, cfg)
     numer = None
     total = -math.inf
     for attempt in range(cfg.resample_limit + 1):
-        draw = sample_noise(x, cfg.eps, cfg.beta, rng, floor=cfg.floor)
-        numer = base + draw.values
+        numer = base + (drift + scale * rng.standard_normal(x.shape))
         total = float(numer.sum())
         if total > cfg.floor and numer.min() > 0.0:
             point, clamped = normalize_retraction(numer, floor=cfg.floor)
@@ -257,6 +256,18 @@ def lmwu_step(
         point, _ = normalize_retraction(numer, floor=cfg.floor)
         return StepResult(point, True, cfg.resample_limit > 0)
     raise _denominator_failure(total, cfg)
+
+
+def _lmwu_terms(x: np.ndarray, grad: np.ndarray, cfg: LmwuConfig):
+    """The parts of an ``lmwu`` numerator that are fixed at ``x`` (a point or
+    a (K, n) stack of points): ``base`` = x − ε·x∘g, the christoffel
+    ``drift`` and the noise ``scale`` √(2εβ⁻¹x). A draw z gives the
+    numerator ``base + (drift + scale * z)``, the ``base + sample_noise(...)
+    .values`` of the same z."""
+    base = x - cfg.eps * shahshahani_gradient(x, grad)
+    drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=cfg.floor)
+    scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
+    return base, drift, scale
 
 
 def _denominator_failure(total: float, cfg: LmwuConfig) -> StepFailureError:
@@ -483,10 +494,8 @@ class _Normals:
 def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     """:func:`lmwu_step` on each row of ``x``, with the same operations in
     the same order; only rejected rows draw again."""
-    eps, floor = cfg.eps, cfg.floor
-    base = x - eps * shahshahani_gradient(x, grad)
-    drift = christoffel_drift(x, eps, cfg.beta, floor=floor)
-    scale = np.sqrt((2.0 * eps / cfg.beta) * x)
+    floor = cfg.floor
+    base, drift, scale = _lmwu_terms(x, grad, cfg)
     numer = base + (drift + scale * normals.take(np.arange(len(x))))
     total = numer.sum(axis=-1)
     ok = (total > floor) & (numer.min(axis=-1) > 0.0)

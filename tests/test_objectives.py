@@ -16,6 +16,7 @@ from simplex_langevin.objectives import (
     _LISTED_OPTIMA,
 )
 from simplex_langevin.objectives import test_function as benchmark
+from simplex_langevin.portfolio import RISK_PRESETS
 
 # Values of each benchmark at its published optimum location, frozen from an
 # independent reimplementation evaluated with plain float64 arithmetic.
@@ -276,6 +277,62 @@ def test_values_and_grads_rows_equal_value_and_grad(name):
         assert np.array_equal(grads[k], grad)
     with pytest.raises(ValueError, match=rf"expects a \(K, {n}\) array"):
         obj.values_and_grads(points[:, 1:])
+
+
+def reference_value_and_grad(loss, w):
+    """The portfolio kernel as first written: every moment m_2..m_d from
+    ``c ** k``, the gradient from ``c ** (k − 1)`` again, and the signs built
+    on each call. The shipped kernel must give the same bits."""
+    p = loss.returns @ np.asarray(w, dtype=float)
+    mu = p.mean()
+    m = np.empty(loss.order)
+    m[0] = mu
+    c = p - mu
+    for k in range(2, loss.order + 1):
+        m[k - 1] = (c ** k).mean()
+    signs = np.array([(-1.0) ** k for k in range(1, loss.order + 1)])
+    value = float((signs * loss.lambdas * m).sum())
+    t_count = loss.returns.shape[0]
+    rbar = loss.returns.mean(axis=0)
+    grad = signs[0] * loss.lambdas[0] * rbar
+    for k in range(2, loss.order + 1):
+        if loss.lambdas[k - 1] == 0.0:
+            continue
+        dm = (k / t_count) * (c ** (k - 1)) @ (loss.returns - rbar)
+        grad = grad + signs[k - 1] * loss.lambdas[k - 1] * dm
+    return value, grad, m
+
+
+KERNEL_LAMBDAS = {
+    **{name: preset.lambdas for name, preset in RISK_PRESETS.items()},
+    "mean": (1.0, 0.0, 0.0, 0.0, 0.0),
+    "mean-skew": (0.5, 0.0, 0.5, 0.0, 0.0),
+    "three-moment": (0.5, 0.25, 0.0, 0.25, 0.0),
+}
+
+
+@pytest.mark.parametrize("t_count", [2, 7, 250])
+@pytest.mark.parametrize("lam", KERNEL_LAMBDAS.values(), ids=KERNEL_LAMBDAS)
+def test_portfolio_kernel_bit_equals_reference(lam, t_count):
+    rng = np.random.default_rng(t_count)
+    # returns of unit scale, so that the higher moments weigh as much as the
+    # mean and a last-bit change in a power of c reaches value and gradient
+    returns = rng.standard_t(4, (t_count, 10))
+    loss = PortfolioLoss(returns, lam)
+    obj = portfolio_objective(loss)
+    # interior points, and points with half their coordinates at the 1e-6
+    # floor the portfolio fits use
+    points = [interior_point(rng, 10) for _ in range(10)]
+    for _ in range(10):
+        w = interior_point(rng, 10)
+        w[rng.permutation(10)[:5]] = 1e-6
+        points.append(w / w.sum())
+    for w in points:
+        value, grad, moments = reference_value_and_grad(loss, w)
+        got_value, got_grad = obj.value_and_grad(w)
+        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert got_grad.tobytes() == grad.tobytes()
+        assert portfolio_moments(loss, w).tobytes() == moments.tobytes()
 
 
 class TestFiniteDifferenceGradient:

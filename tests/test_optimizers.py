@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from simplex_langevin.geometry import exp_map
+from simplex_langevin.geometry import exp_map, normalize_retraction, sample_noise
 from simplex_langevin import optimizers
 from simplex_langevin.objectives import Objective, PortfolioLoss, portfolio_objective
 from simplex_langevin.objectives import test_function as benchmark
@@ -240,6 +240,35 @@ class TestRunOptimizer:
             assert np.array_equal(traj.points[k], x)
             assert (traj.clamped[k], traj.resampled[k]) == (clamped, resampled)
         assert traj.clamped.any() and traj.resampled.any()
+
+    def test_lmwu_step_draws_the_sample_noise_law(self):
+        # lmwu_step written out with sample_noise's draw, accept, resample
+        # and clamp included: the step and the noise law that noise-check
+        # and criterion 03 test stay one law, bit for bit
+        obj = linear_objective([0.5, 0.2, 0.9])
+        cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
+
+        def hand_step(x, grad, rng):
+            base = x - cfg.eps * (x * grad)
+            for attempt in range(cfg.resample_limit + 1):
+                noise = sample_noise(x, cfg.eps, cfg.beta, rng, floor=cfg.floor)
+                numer = base + noise.values
+                if numer.sum() > cfg.floor and numer.min() > 0.0:
+                    point, clamped = normalize_retraction(numer, floor=cfg.floor)
+                    return point, clamped, attempt > 0
+            point, _ = normalize_retraction(numer, floor=cfg.floor)
+            return point, True, cfg.resample_limit > 0
+
+        x = y = np.full(3, 1.0 / 3.0)
+        step_rng, hand_rng = (np.random.default_rng(cfg.seed) for _ in range(2))
+        flags = []
+        for _ in range(cfg.max_iters):
+            x, clamped, resampled = lmwu_step(x, obj.gradient(x), cfg, step_rng)
+            y, *hand_flags = hand_step(y, obj.gradient(y), hand_rng)
+            assert np.array_equal(x, y)
+            assert [clamped, resampled] == hand_flags
+            flags.append((clamped, resampled))
+        assert any(c for c, _ in flags) and any(r for _, r in flags)
 
     def test_step_failure_carries_iteration(self):
         obj = benchmark("f1")
