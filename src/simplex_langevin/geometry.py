@@ -17,6 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "DegeneratePointError",
+    "RetractionFailureError",
+    "TangentVector",
+    "NoiseDraw",
+    "simplex_point",
+    "barycenter",
+    "shahshahani_gradient",
+    "exp_map",
+    "log_map",
+    "distance_sq_barycenter",
+    "christoffel_drift",
+    "sample_noise",
+    "euclidean_simplex_projection",
+    "lift_to_interior",
+]
+
 DEFAULT_FLOOR = 1e-12
 SUM_TOL = 1e-9
 

@@ -83,7 +83,10 @@ class Objective:
         values = np.empty(p.shape[0])
         grads = np.empty(p.shape)
         for k, row in enumerate(p):
-            values[k], grads[k] = self.fn(row)
+            values[k], grad = self.fn(row)
+            if np.shape(grad) != (self.dim,):
+                raise ValueError(f"{self.name} gradient has shape {np.shape(grad)}")
+            grads[k] = grad
         return values, grads
 
     def value(self, point) -> float:
@@ -300,6 +303,17 @@ def test_function(fid: str) -> Objective:
 # portfolio loss
 # ---------------------------------------------------------------------------
 
+def _check_lambdas(lam: np.ndarray) -> None:
+    """The rules of a λ-weight vector: nonempty, every weight nonnegative
+    and finite, and an exactly rounded sum of 1 within 1e-9."""
+    if lam.ndim != 1 or lam.size < 1:
+        raise ValueError("lambdas must be a nonempty vector")
+    if (lam < 0.0).any() or not np.isfinite(lam).all():
+        raise ValueError("lambdas must be nonnegative and finite")
+    if abs(math.fsum(lam) - 1.0) > 1e-9:
+        raise ValueError("lambdas must sum to 1 within 1e-9")
+
+
 @dataclass(frozen=True)
 class PortfolioLoss:
     """Higher-moment portfolio loss over a T×n panel of simple returns.
@@ -327,12 +341,7 @@ class PortfolioLoss:
             raise ValueError("returns must be a T×n matrix with T >= 2")
         if not np.isfinite(r).all():
             raise ValueError("returns must be finite")
-        if lam.ndim != 1 or lam.size < 1:
-            raise ValueError("lambdas must be a nonempty vector")
-        if (lam < 0.0).any() or not np.isfinite(lam).all():
-            raise ValueError("lambdas must be nonnegative and finite")
-        if abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise ValueError("lambdas must sum to 1 within 1e-9")
+        _check_lambdas(lam)
         rbar = r.mean(axis=0)
         object.__setattr__(self, "_rbar", rbar)
         object.__setattr__(self, "_centred", r - rbar)

@@ -116,12 +116,14 @@ class LmwuConfig:
             raise ValueError("eps must be a positive finite float")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be a positive finite float")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        for name in ("max_iters", "resample_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.floor < 1.0):
             raise ValueError("floor must lie in (0, 1)")
-        if self.resample_limit < 0:
-            raise ValueError("resample_limit must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .geometry import lift_to_interior
 from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
+from .objectives import _check_lambdas
 from .optimizers import (
     LmwuConfig,
     Method,
@@ -125,12 +126,7 @@ class RiskPreset:
     def __post_init__(self) -> None:
         lam = tuple(float(v) for v in self.lambdas)
         object.__setattr__(self, "lambdas", lam)
-        if not lam:
-            raise ValueError("lambdas must be nonempty")
-        if any(not math.isfinite(v) or v < 0.0 for v in lam):
-            raise ValueError("lambdas must be nonnegative finite")
-        if abs(math.fsum(lam) - 1.0) > 1e-9:
-            raise ValueError("lambdas must sum to 1 within 1e-9")
+        _check_lambdas(np.array(lam))
 
 
 RISK_PRESETS: Mapping[str, RiskPreset] = {
@@ -275,32 +271,22 @@ def _parse_returns(fh: Iterable[str]) -> ReturnPanel:
 # rolling evaluation
 # ---------------------------------------------------------------------------
 
-def _window_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
-
-
-def _cell_seed(base_seed: int, method: Method, preset: str) -> int:
-    # keyed by names, not by grid position, so that a cell's fits do not
-    # depend on which other cells were requested; no method value holds "/"
-    key = f"{method.value}/{preset}".encode()
+def _child_seed(base_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([base_seed, *key]).generate_state(1)[0])
 
 
 def _out_of_sample_loss(
     loss_window: PortfolioLoss,
-    lambdas: Sequence[float],
     w: np.ndarray,
     next_return: np.ndarray,
     variant: str,
 ) -> float:
-    realized = float(w @ next_return)
-    out = -lambdas[0] * realized
-    if variant == "window-moments" and len(lambdas) > 1:
+    coef = loss_window._coef
+    out = coef[0] * float(w @ next_return)
+    if variant == "window-moments" and coef.size > 1:
         m = portfolio_moments(loss_window, w)
-        sign = -1.0
-        for k in range(2, len(lambdas) + 1):
-            sign = -sign
-            out += sign * lambdas[k - 1] * float(m[k - 1])
+        for k in range(2, coef.size + 1):
+            out += coef[k - 1] * m[k - 1]
     return out
 
 
@@ -356,7 +342,7 @@ def rolling_window_evaluate(
         objective = portfolio_objective(
             loss_window, name=f"portfolio[{preset.name}]"
         )
-        fit_cfg = replace(cfg, seed=_window_seed(cfg.seed, j))
+        fit_cfg = replace(cfg, seed=_child_seed(cfg.seed, j))
         try:
             traj = run_optimizer(
                 method, objective, lift_to_interior(w_init, floor=cfg.floor),
@@ -369,7 +355,7 @@ def rolling_window_evaluate(
             ) from exc
         w_hat = traj.final_point
         losses[j] = _out_of_sample_loss(
-            loss_window, preset.lambdas, w_hat, panel.returns[window + j], variant
+            loss_window, w_hat, panel.returns[window + j], variant
         )
         if warm_start:
             w_init = w_hat
@@ -412,8 +398,12 @@ def compare_methods(
     failures: dict[tuple[str, str], Exception] = {}
     for method in methods:
         for preset in presets:
-            cell_cfg = replace(cfg, seed=_cell_seed(cfg.seed, method, preset.name))
             key = (method.value, preset.name)
+            # seeded by the names, not by grid position, so that a cell's fits
+            # do not depend on which other cells were requested; no method
+            # value holds "/"
+            seed = _child_seed(cfg.seed, *"/".join(key).encode())
+            cell_cfg = replace(cfg, seed=seed)
             try:
                 reports[key] = rolling_window_evaluate(
                     panel, preset, method, cell_cfg, window,

@@ -319,6 +319,12 @@ class TestRunOptimizer:
             LmwuConfig(eps=0.1, beta=1.0, max_iters=1, floor=2.0)
         with pytest.raises(ValueError):
             LmwuConfig(eps=0.1, beta=1.0, max_iters=1, resample_limit=-1)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                LmwuConfig(eps=0.1, beta=1.0, max_iters=bad)
+        for bad in (1.5, False):
+            with pytest.raises(ValueError, match="resample_limit must be an integer"):
+                LmwuConfig(eps=0.1, beta=1.0, max_iters=1, resample_limit=bad)
 
 
 def two_block_objective():
@@ -474,6 +480,17 @@ class TestRunChains:
         cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)
         with pytest.raises(StepSizeError):
             run_chains("linear-mwu", obj, [0.5, 0.5], cfg, [0, 1])
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_malformed_gradient_fails_as_in_run_optimizer(self, method):
+        # a scalar gradient would broadcast into the (K, n) gradient array
+        obj = Objective(name="scalar-grad", dim=3, block_dims=(3,),
+                        fn=lambda p: (float(p.sum()), 0.5))
+        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=5)
+        with pytest.raises(ValueError):
+            run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
+        with pytest.raises(ValueError, match="gradient has shape"):
+            run_chains(method, obj, [0.3, 0.6, 0.1], cfg, [0, 1])
 
     def test_rejects_multi_block_objective_and_no_seeds(self):
         cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=3)

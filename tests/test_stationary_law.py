@@ -1,0 +1,154 @@
+"""Stationary laws of the lmwu dynamics on the simplex.
+
+A Langevin sampler at inverse temperature β targets exp(−βf) on the
+simplex: the uniform law at f ≡ 0, and Dirichlet(1 + a, …, 1 + a) for the
+log barrier f = −(a/β)·Σ ln x_i. The shipped ``lmwu`` does not get there:
+its pre-normalisation drift (``christoffel_drift``) pushes iterates away
+from the barycenter, with a strength that grows as 1/x_min, and at f ≡ 0,
+β = 1 every chain below raises ``StepFailureError`` before εk = 1. That
+test is kept as it stands until the drift is decided.
+
+The reference is the same step, transcribed here over rows, with only the
+pre-normalisation drift replaced by the Riemannian-Langevin divergence term
+d_i = ε/β: same noise √(2εβ⁻¹x_i)·z_i, same accept/resample/clamp rule,
+same normalisation. After normalisation its mean step is (ε/β)(1 − n·x_i),
+the Wright–Fisher drift whose stationary law is Dirichlet(1, …, 1); it
+reproduces the closed forms below. Whether the paper's drift is the
+transcribed formula is open: PAPER.md holds only its abstract.
+"""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from simplex_langevin import (
+    LmwuConfig,
+    Objective,
+    StepFailureError,
+    barycenter,
+    christoffel_drift,
+    run_chains,
+    run_optimizer,
+)
+from simplex_langevin.geometry import normalize_retraction
+
+
+def zero_objective(n):
+    return Objective(name="zero", dim=n, block_dims=(n,),
+                     fn=lambda p: (0.0, np.zeros(n)))
+
+
+def shipped_drift(x, cfg):
+    return christoffel_drift(x, cfg.eps, cfg.beta, floor=cfg.floor)
+
+
+def divergence_drift(x, cfg):
+    return np.full(x.shape, cfg.eps / cfg.beta)
+
+
+def reference_step(x, grad, cfg, rng, drift):
+    """``lmwu_step`` on each row of ``x`` with ``drift(x, cfg)`` in place of
+    the christoffel drift; rejected rows draw again, in row order."""
+    base = x - cfg.eps * (x * grad)
+    d = drift(x, cfg)
+    scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
+    numer = base + (d + scale * rng.standard_normal(x.shape))
+    total = numer.sum(axis=-1)
+    ok = (total > cfg.floor) & (numer.min(axis=-1) > 0.0)
+    for _ in range(cfg.resample_limit):
+        rows = np.flatnonzero(~ok)
+        if rows.size == 0:
+            break
+        z = rng.standard_normal((rows.size, x.shape[-1]))
+        numer[rows] = base[rows] + (d[rows] + scale[rows] * z)
+        total[rows] = numer[rows].sum(axis=-1)
+        ok[rows] = (total[rows] > cfg.floor) & (numer[rows].min(axis=-1) > 0.0)
+    if not (total > cfg.floor).all():
+        raise StepFailureError("update denominator stayed below floor")
+    points = numer / total[:, None]
+    for k in np.flatnonzero(points.min(axis=-1) < cfg.floor):
+        points[k] = normalize_retraction(numer[k], floor=cfg.floor)[0]
+    return points
+
+
+def reference_chains(n, grad_fn, chains, steps, seed, eps=1e-3, beta=1.0):
+    """Final points of ``chains`` reference chains from the barycenter."""
+    cfg = LmwuConfig(eps=eps, beta=beta, max_iters=steps)
+    rng = np.random.default_rng(seed)
+    x = np.tile(barycenter(n), (chains, 1))
+    for _ in range(steps):
+        x = reference_step(x, grad_fn(x), cfg, rng, divergence_drift)
+    return x
+
+
+class TestShippedDrift:
+    """Kept: the shipped lmwu cannot sample the uniform law at f ≡ 0."""
+
+    @pytest.mark.parametrize("eps, iterations", [
+        (1e-3, [45, 58, 30, 171, 97]),
+        (1e-4, [350, 214, 462, 909, 390]),
+    ])
+    def test_fails_at_zero_objective(self, eps, iterations):
+        cfg = LmwuConfig(eps=eps, beta=1.0, max_iters=round(1.0 / eps))
+        floors = (cfg.floor, 1e-6, 1e-3) if eps == 1e-3 else (cfg.floor,)
+        for floor in floors:  # a larger floor does not help at ε = 1e-3
+            failed_at = []
+            for seed in range(5):
+                with pytest.raises(StepFailureError) as info:
+                    run_optimizer("lmwu", zero_objective(3), barycenter(3),
+                                  replace(cfg, seed=seed, floor=floor))
+                failed_at.append(info.value.iteration)
+            assert failed_at == iterations
+            assert max(failed_at) * eps < 1.0
+
+    def test_fails_at_zero_objective_on_five_coordinates(self):
+        cfg = LmwuConfig(eps=1e-3, beta=1.0, max_iters=1000)
+        with pytest.raises(StepFailureError) as info:
+            run_chains("lmwu", zero_objective(5), barycenter(5), cfg, range(8))
+        assert info.value.iteration == 24
+
+
+def test_reference_with_shipped_drift_is_the_shipped_step():
+    # the transcription differs from lmwu_step in the drift only: with the
+    # christoffel drift, one row from default_rng(seed) retraces
+    # run_optimizer bit for bit, through resamples and clamps
+    c = np.array([0.5, 0.2, 0.9])
+    obj = Objective(name="linear", dim=3, block_dims=(3,),
+                    fn=lambda p: (float(p @ c), c.copy()))
+    cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
+    traj = run_optimizer("lmwu", obj, barycenter(3), cfg)
+    assert traj.clamped.any() and traj.resampled.any()
+    rng = np.random.default_rng(cfg.seed)
+    x = barycenter(3)[None, :]
+    for k in range(1, cfg.max_iters + 1):
+        x = reference_step(x, c[None, :], cfg, rng, shipped_drift)
+        assert np.array_equal(x[0], traj.points[k])
+
+
+# K = 4,000 chains × 2,000 steps at ε = 1e-3, β = 1, final points only. From
+# the barycenter, the statistics below relax at rate 8 for n = 3, 12 for
+# n = 5 and 20 for the barrier, so at time εk = 2 they are stationary. Each
+# bound is the bias measured over 16 runs (seeds 0–7, at 2,000 and 3,000
+# steps) plus four Monte Carlo standard errors of one K-chain estimate.
+CHAINS, STEPS, SEED = 4000, 2000, 0
+
+
+def test_reference_samples_uniform_law_on_three_coordinates():
+    x = reference_chains(3, np.zeros_like, CHAINS, STEPS, SEED)
+    # Var x_1 = 1/18, SE 0.00104, bias −0.0007; E[min x] = 1/9, SE 0.00124,
+    # bias +0.0013
+    assert abs(x[:, 0].var() - 1.0 / 18.0) < 0.005
+    assert abs(x.min(axis=1).mean() - 1.0 / 9.0) < 0.0065
+
+
+def test_reference_samples_dirichlet_law_of_log_barrier():
+    # f = −(2/β)·Σ ln x_i, so the target is Dirichlet(3, 3, 3):
+    # Var x_1 = 1/45, SE 0.00046, bias below 0.0001
+    x = reference_chains(3, lambda p: -2.0 / p, CHAINS, STEPS, SEED)
+    assert abs(x[:, 0].var() - 1.0 / 45.0) < 0.002
+
+
+def test_reference_samples_uniform_law_on_five_coordinates():
+    # Var x_1 = 2/75, SE 0.00069, bias −0.0004
+    x = reference_chains(5, np.zeros_like, CHAINS, STEPS, SEED)
+    assert abs(x[:, 0].var() - 2.0 / 75.0) < 0.0035
