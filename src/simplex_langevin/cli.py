@@ -132,7 +132,7 @@ def _load_config(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             cfg = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -401,24 +401,24 @@ def cmd_portfolio(args) -> int:
     cfg = _resolve_cfg(args, DEFAULT_FIT_CONFIG)
 
     # a bad window or variant raises ValueError (exit 2) before any fit
-    table = compare_methods(
+    reports, failures = compare_methods(
         panel, presets, methods, cfg, window,
         variant=variant, warm_start=not args.no_warm_start,
     )
     out = _out_dir(args)
     rows = []
-    for method, preset_name, report, error in table.iter_cells():
-        if report is not None:
+    for key in [(m.value, p.name) for m in methods for p in presets]:
+        method, preset_name = key
+        if key in reports:
+            report = reports[key]
             rows.append([
-                method.value, preset_name, report.score, report.periods,
+                method, preset_name, report.score, report.periods,
                 report.variant, report.runtime_seconds,
             ])
-            print(f"{method.value} {preset_name}: score = {_fmt(report.score)}")
+            print(f"{method} {preset_name}: score = {_fmt(report.score)}")
             if args.per_period:
                 _write_csv(
-                    os.path.join(
-                        out, f"per_period_{method.value}_{preset_name}.csv"
-                    ),
+                    os.path.join(out, f"per_period_{method}_{preset_name}.csv"),
                     ["t", "date", "loss"],
                     (
                         [window + 1 + j, report.dates[j], loss]
@@ -426,16 +426,15 @@ def cmd_portfolio(args) -> int:
                     ),
                 )
         else:
-            rows.append([method.value, preset_name, "", "", variant, ""])
-            print(
-                f"{method.value} {preset_name}: failed: {error}", file=sys.stderr
-            )
+            rows.append([method, preset_name, "", "", variant, ""])
+            print(f"{method} {preset_name}: failed: {failures[key]}",
+                  file=sys.stderr)
     _write_csv(
         os.path.join(out, "portfolio_report.csv"),
         ["method", "preset", "score", "periods", "variant", "runtime_seconds"],
         rows,
     )
-    return EXIT_RUNTIME if table.failures else EXIT_OK
+    return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_noise_check(args) -> int:

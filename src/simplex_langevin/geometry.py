@@ -74,19 +74,13 @@ class NoiseDraw:
     gauss_part: np.ndarray
 
 
-def simplex_point(values, *, tol: float = SUM_TOL) -> np.ndarray:
-    """Validate and return a strictly positive probability vector.
-
-    Args:
-        values: array-like of coordinates.
-        tol: allowed deviation of the coordinate sum from 1.
-
-    Returns:
-        A fresh float64 array.
+def simplex_point(values) -> np.ndarray:
+    """Validate ``values`` as a strictly positive probability vector and
+    return it as a fresh float64 array.
 
     Raises:
         ValueError: non-1-D input, nonfinite entries, any coordinate <= 0,
-            or the sum off 1 by more than ``tol``.
+            or the sum off 1 by more than ``SUM_TOL`` (1e-9).
     """
     x = np.array(values, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -96,8 +90,8 @@ def simplex_point(values, *, tol: float = SUM_TOL) -> np.ndarray:
     if not (x > 0.0).all():
         raise ValueError("simplex coordinates must be strictly positive")
     total = float(x.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"coordinates must sum to 1 within {tol}, got {total!r}")
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"coordinates must sum to 1 within {SUM_TOL}, got {total!r}")
     return x
 
 

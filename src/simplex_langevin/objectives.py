@@ -40,7 +40,7 @@ class Objective:
     ``value`` and ``gradient`` are derived from it, so each of them also
     pays for the other. ``known_optimum`` is an optional (point, value)
     pair. Evaluation raises ValueError on a point that is not a
-    ``dim``-vector.
+    ``dim``-vector, and on an ``fn`` gradient that is not one.
     """
 
     name: str
@@ -64,6 +64,9 @@ class Objective:
                 f"{self.name} expects a vector of length {self.dim}, got {p.shape}"
             )
         value, grad = self.fn(p)
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != (self.dim,):
+            raise ValueError(f"{self.name} gradient has shape {grad.shape}")
         return float(value), grad
 
     def values_and_grads(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +86,7 @@ class Objective:
         values = np.empty(p.shape[0])
         grads = np.empty(p.shape)
         for k, row in enumerate(p):
-            values[k], grad = self.fn(row)
-            if np.shape(grad) != (self.dim,):
-                raise ValueError(f"{self.name} gradient has shape {np.shape(grad)}")
-            grads[k] = grad
+            values[k], grads[k] = self.value_and_grad(row)
         return values, grads
 
     def value(self, point) -> float:

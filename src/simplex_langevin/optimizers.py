@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "ChainEnds",
     "mwu_linear_step",
-    "mwu_exponential_step",
     "lmwu_step",
     "projected_langevin_step",
     "run_optimizer",
@@ -99,9 +98,8 @@ class LmwuConfig:
     """Run configuration shared by all methods.
 
     ``beta`` is the inverse temperature (ignored by the deterministic
-    methods), ``floor`` the positivity floor used for clamping and degeneracy
-    checks, and ``resample_limit`` the number of extra noise draws allowed
-    when a draw would push an iterate off the simplex.
+    methods) and ``floor`` the positivity floor used for clamping and
+    degeneracy checks.
     """
 
     eps: float
@@ -109,19 +107,17 @@ class LmwuConfig:
     max_iters: int
     seed: int = 0
     floor: float = DEFAULT_FLOOR
-    resample_limit: int = 16
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError("eps must be a positive finite float")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be a positive finite float")
-        for name in ("max_iters", "resample_limit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))):
+            raise ValueError("max_iters must be an integer")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if not (0.0 < self.floor < 1.0):
             raise ValueError("floor must lie in (0, 1)")
 
@@ -219,9 +215,8 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
     return numer / numer.sum()
 
 
-def mwu_exponential_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
-    """x_i ← x_i e^{−ε g_i} / Σ_j x_j e^{−ε g_j}, i.e. ``exp_map(x, −ε·grad)``."""
-    return exp_map(x, -eps * np.asarray(grad, dtype=float))
+# extra noise draws an lmwu step may take when a draw would leave the simplex
+_RESAMPLE_LIMIT = 16
 
 
 def lmwu_step(
@@ -235,9 +230,9 @@ def lmwu_step(
     Numerators x_i − ε x_i g_i + V_i are normalized by their sum (which
     equals the 1 − ε Σ x_j g_j + Σ V_j denominator because x sums to one).
     A draw is rejected and resampled when the sum is <= floor or any
-    numerator is nonpositive; after ``cfg.resample_limit`` extra draws the
-    last numerator vector is clamped-and-renormalized instead (flagged), or,
-    if its sum is still degenerate, the step fails.
+    numerator is nonpositive; after 16 extra draws the last numerator
+    vector is clamped-and-renormalized instead (flagged), or, if its sum is
+    still degenerate, the step fails.
 
     Raises:
         StepFailureError: resample budget exhausted with the component sum
@@ -247,7 +242,7 @@ def lmwu_step(
     base, drift, scale = _lmwu_terms(x, grad, cfg)
     numer = None
     total = -math.inf
-    for attempt in range(cfg.resample_limit + 1):
+    for attempt in range(_RESAMPLE_LIMIT + 1):
         numer = base + (drift + scale * rng.standard_normal(x.shape))
         total = float(numer.sum())
         if total > cfg.floor and numer.min() > 0.0:
@@ -256,8 +251,8 @@ def lmwu_step(
     if total > cfg.floor:
         # salvageable: only sign violations remain, clamp them away
         point, _ = normalize_retraction(numer, floor=cfg.floor)
-        return StepResult(point, True, cfg.resample_limit > 0)
-    raise _denominator_failure(total, cfg)
+        return StepResult(point, True, True)
+    raise _denominator_failure(total)
 
 
 def _lmwu_terms(x: np.ndarray, grad: np.ndarray, cfg: LmwuConfig):
@@ -272,10 +267,10 @@ def _lmwu_terms(x: np.ndarray, grad: np.ndarray, cfg: LmwuConfig):
     return base, drift, scale
 
 
-def _denominator_failure(total: float, cfg: LmwuConfig) -> StepFailureError:
+def _denominator_failure(total: float) -> StepFailureError:
     return StepFailureError(
         f"update denominator {total:.3e} stayed below floor after "
-        f"{cfg.resample_limit} resamples"
+        f"{_RESAMPLE_LIMIT} resamples"
     )
 
 
@@ -376,15 +371,16 @@ def _off_simplex_error(block: np.ndarray, b: int) -> StepFailureError:
     )
 
 
-def _deterministic(step_fn):
-    return lambda x, g, cfg, rng: StepResult(step_fn(x, g, cfg.eps), False, False)
-
-
 # the per-block step (x, grad, cfg, rng) -> StepResult of each method
 _BLOCK_STEPS = {
     Method.LMWU: lmwu_step,
-    Method.LINEAR_MWU: _deterministic(mwu_linear_step),
-    Method.EXP_MWU: _deterministic(mwu_exponential_step),
+    Method.LINEAR_MWU: lambda x, g, cfg, rng: StepResult(
+        mwu_linear_step(x, g, cfg.eps), False, False,
+    ),
+    # x_i e^{−ε g_i} / Σ_j x_j e^{−ε g_j}
+    Method.EXP_MWU: lambda x, g, cfg, rng: StepResult(
+        exp_map(x, -cfg.eps * g), False, False,
+    ),
     Method.PROJECTED_LANGEVIN: lambda x, g, cfg, rng: StepResult(
         projected_langevin_step(x, g, cfg.eps, cfg.beta, rng, floor=cfg.floor),
         False, False,
@@ -501,7 +497,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     numer = base + (drift + scale * normals.take(np.arange(len(x))))
     total = numer.sum(axis=-1)
     ok = (total > floor) & (numer.min(axis=-1) > 0.0)
-    for _ in range(cfg.resample_limit):
+    for _ in range(_RESAMPLE_LIMIT):
         rows = np.flatnonzero(~ok)
         if rows.size == 0:
             break
@@ -516,7 +512,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     points = numer[:m] / total[:m, None]
     for k in np.flatnonzero(points.min(axis=-1) < floor):
         points[k] = _pin_floor(points[k], floor)
-    failure = (m, _denominator_failure(float(total[m]), cfg)) if failed.size else None
+    failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
     off = np.flatnonzero(_left_simplex(points))
     if off.size:
         k = int(off[0])

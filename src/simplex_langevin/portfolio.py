@@ -5,7 +5,7 @@ A returns CSV (``date,asset1,...,assetn``) is loaded into a
 over it, fits portfolio weights per window by minimizing the λ-weighted
 moment loss with any supported optimizer, and scores each fit on the
 following period. :func:`compare_methods` runs the full methods × presets
-grid into one table.
+grid.
 
 Out-of-sample loss comes in two labeled variants (see ``VARIANTS``):
 ``literal`` applies the moment loss to the single next-period return, which
@@ -20,8 +20,8 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "ReturnsParseError",
     "RiskPreset",
     "EvaluationReport",
-    "ScoreTable",
     "PortfolioFitError",
     "load_returns",
     "rolling_window_evaluate",
@@ -164,27 +163,6 @@ class EvaluationReport:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    """methods x presets grid of reports; failed cells carry their error."""
-
-    methods: tuple[Method, ...]
-    presets: tuple[str, ...]
-    reports: Mapping[tuple[str, str], EvaluationReport]
-    failures: Mapping[tuple[str, str], Exception] = field(default_factory=dict)
-
-    def score(self, method: Method | str, preset: str) -> float:
-        return self.reports[(Method(method).value, preset)].score
-
-    def iter_cells(
-        self,
-    ) -> Iterator[tuple[Method, str, EvaluationReport | None, Exception | None]]:
-        for m in self.methods:
-            for p in self.presets:
-                key = (m.value, p)
-                yield m, p, self.reports.get(key), self.failures.get(key)
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
@@ -193,8 +171,9 @@ def load_returns(source: str | os.PathLike | IO) -> ReturnPanel:
     """Parse a returns CSV into a :class:`ReturnPanel`.
 
     Accepts a path or an open text/byte stream. Expected layout: header
-    ``date,<asset1>,...,<assetn>`` then one row per period with dot-decimal
-    returns. Rows keep file order.
+    ``date,<asset1>,...,<assetn>`` (a leading UTF-8 byte-order mark is
+    ignored) then one row per period with dot-decimal returns. Rows keep
+    file order.
 
     Raises:
         ReturnsParseError: empty input, malformed header, wrong cell count,
@@ -204,8 +183,6 @@ def load_returns(source: str | os.PathLike | IO) -> ReturnPanel:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _parse_returns(fh)
-    if isinstance(source, (bytes, bytearray)):
-        return _parse_returns(io.StringIO(source.decode("utf-8")))
     data = source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -219,7 +196,8 @@ def _parse_returns(fh: Iterable[str]) -> ReturnPanel:
     except StopIteration:
         raise ReturnsParseError("empty input", line=1) from None
     header = [c.strip() for c in header]
-    if len(header) < 2 or header[0].lower() != "date":
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    if len(header) < 2 or header[0].removeprefix("\ufeff").lower() != "date":
         raise ReturnsParseError(
             "header must be 'date,<asset1>,...'", line=1
         )
@@ -381,22 +359,23 @@ def compare_methods(
     *,
     variant: str = "literal",
     warm_start: bool = True,
-) -> ScoreTable:
-    """Evaluate every method x preset cell into one :class:`ScoreTable`.
+) -> tuple[dict[tuple[str, str], EvaluationReport],
+           dict[tuple[str, str], PortfolioFitError]]:
+    """Evaluate every method x preset cell; returns ``(reports, failures)``,
+    both keyed by ``(method value, preset name)``.
 
     Cells are independent: each gets a seed derived from ``cfg.seed``, the
     method and the preset name, so its report does not depend on which
     other cells are in the grid; a cell whose fit fails is recorded in
-    ``failures`` instead of aborting the rest of the table.
+    ``failures`` instead of aborting the rest of the grid.
 
     Raises:
         ValueError: window out of range or unknown variant, from the first
             cell, before any fit.
     """
-    methods = tuple(Method(m) for m in methods)
     reports: dict[tuple[str, str], EvaluationReport] = {}
-    failures: dict[tuple[str, str], Exception] = {}
-    for method in methods:
+    failures: dict[tuple[str, str], PortfolioFitError] = {}
+    for method in map(Method, methods):
         for preset in presets:
             key = (method.value, preset.name)
             # seeded by the names, not by grid position, so that a cell's fits
@@ -411,9 +390,4 @@ def compare_methods(
                 )
             except PortfolioFitError as exc:
                 failures[key] = exc
-    return ScoreTable(
-        methods=methods,
-        presets=tuple(p.name for p in presets),
-        reports=reports,
-        failures=failures,
-    )
+    return reports, failures

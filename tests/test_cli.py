@@ -116,6 +116,17 @@ class TestOptimize:
         assert (a / "trajectory.csv").read_bytes() == \
             (b / "trajectory.csv").read_bytes()
 
+    def test_returns_objective_runs_the_fit_config(self, returns_file, tmp_path):
+        # no run flags: DEFAULT_FIT_CONFIG's 600 iterations and 1e-6 floor
+        code = main(["optimize", "--returns", returns_file, "--preset", "mv",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        assert header[2:4] == ["x_1", "x_2"]
+        assert len(rows) == 601
+        points = [[float(c) for c in row[2:4]] for row in rows]
+        assert all(abs(sum(p) - 1.0) <= 1e-9 and min(p) >= 1e-6 for p in points)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -156,6 +167,25 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, argv, returns_file, tmp_path, capsys):
         argv = [returns_file if a == RETURNS else a for a in argv]
         assert main(argv + ["--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "--returns", RETURNS, "--init", "paper"],
+             "--init paper needs one of the bundled objectives"),
+            (["optimize", "--objective", "f1", "--init", "0.3,x,0.1"],
+             "bad --init '0.3,x,0.1'"),
+            (["compare", "--objective", "f1", "--method", ","],
+             "empty method list"),
+            (["noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"],
+             "noise-check point has a coordinate below floor 1.000e-03"),
+        ],
+    )
+    def test_usage_error_messages(self, argv, message, returns_file, tmp_path,
+                                  capsys):
+        argv = [returns_file if a == RETURNS else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_both_objective_and_returns_exit_2(self, returns_file, tmp_path):
         assert main([
@@ -277,6 +307,14 @@ class TestConfigFile:
         cfg.write_text(text)
         assert main(["optimize", "--objective", "f1", "--out", str(tmp_path),
                      "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", ' ["iters", 3]\n'])
+    def test_json_config_must_be_an_object(self, tmp_path, text, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["optimize", "--objective", "f1", "--out", str(tmp_path),
+                     "--config", str(cfg)]) == 2
+        assert "error: JSON config must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["key=value", "json"])
     @pytest.mark.parametrize("command", list(CONFIG_RUNS))

@@ -267,6 +267,14 @@ class TestLiftToInterior:
         assert_allclose(z, [0.01, 0.01, 0.49, 0.49], rtol=1e-15)
         assert abs(z.sum() - 1.0) < 1e-15
 
+    def test_rescaling_pins_a_second_coordinate(self):
+        # pinning x_1 rescales x_2 from 1.0005e-3 to about 0.9995e-3, under
+        # the floor, so the pinned set grows to both
+        z = lift_to_interior(np.array([1e-6, 1.0005e-3, 1.0 - 1.0015e-3]),
+                             floor=1e-3)
+        assert z[0] == z[1] == 1e-3
+        assert z.sum() == 1.0
+
     def test_interior_point_unchanged(self):
         x = np.array([0.3, 0.6, 0.1])
         assert np.array_equal(lift_to_interior(x, floor=1e-6), x)

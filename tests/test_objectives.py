@@ -279,6 +279,17 @@ def test_values_and_grads_rows_equal_value_and_grad(name):
         obj.values_and_grads(points[:, 1:])
 
 
+@pytest.mark.parametrize("grad", [0.5, [0.1, 0.2], [[0.1, 0.2, 0.3]]])
+def test_gradient_that_is_not_a_dim_vector_is_rejected(grad):
+    obj = Objective(name="bad", dim=3, block_dims=(3,), fn=lambda p: (1.0, grad))
+    point = [0.3, 0.6, 0.1]
+    for evaluate in (obj.value_and_grad, obj.gradient, obj.value):
+        with pytest.raises(ValueError, match="bad gradient has shape"):
+            evaluate(point)
+    with pytest.raises(ValueError, match="bad gradient has shape"):
+        obj.values_and_grads([point, point])
+
+
 def reference_value_and_grad(loss, w):
     """The portfolio kernel as first written: every moment m_2..m_d from
     ``c ** k``, the gradient from ``c ** (k − 1)`` again, and the signs built

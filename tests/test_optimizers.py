@@ -17,7 +17,6 @@ from simplex_langevin.optimizers import (
     StepSizeError,
     TheoryBudget,
     lmwu_step,
-    mwu_exponential_step,
     mwu_linear_step,
     projected_langevin_step,
     run_chains,
@@ -66,6 +65,8 @@ class TestLinearMwuStep:
 
 
 class TestExponentialMwuStep:
+    """The ``exp-mwu`` step is ``exp_map(x, −ε·g)``."""
+
     def test_equals_exp_map_of_scaled_gradient(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
@@ -74,15 +75,15 @@ class TestExponentialMwuStep:
             x /= x.sum()
             g = rng.normal(0.0, 3.0, n)
             eps = float(rng.uniform(1e-4, 0.5))
-            assert np.array_equal(
-                mwu_exponential_step(x, g, eps), exp_map(x, -eps * g)
-            )
+            cfg = LmwuConfig(eps=eps, beta=1.0, max_iters=1, floor=1e-9)
+            traj = run_optimizer("exp-mwu", linear_objective(g), x, cfg)
+            assert np.array_equal(traj.points[1], exp_map(x, -eps * g))
 
     def test_agrees_with_linear_step_for_small_eps(self):
         x = np.array([0.3, 0.6, 0.1])
         g = np.array([1.0, -0.5, 0.2])
         assert_allclose(
-            mwu_exponential_step(x, g, 1e-6),
+            exp_map(x, -1e-6 * g),
             mwu_linear_step(x, g, 1e-6),
             rtol=0, atol=1e-11,
         )
@@ -123,17 +124,14 @@ class TestLmwuStep:
             lmwu_step(np.array([0.5, 0.5]), np.zeros(2),
                       cfg, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("resample_limit", [0, 4])
-    def test_clamp_path_after_exhausted_resamples(self, resample_limit):
+    def test_clamp_path_after_exhausted_resamples(self):
         # one numerator is deterministically negative but the sum is healthy:
-        # every resample fails, then the clamp repair kicks in; with no
-        # resample budget nothing was resampled
-        cfg = LmwuConfig(eps=0.1, beta=1e30, max_iters=1,
-                         resample_limit=resample_limit)
+        # every resample fails, then the clamp repair kicks in
+        cfg = LmwuConfig(eps=0.1, beta=1e30, max_iters=1)
         res = lmwu_step(np.array([0.9, 0.1]), np.array([0.0, 11.0]),
                         cfg, np.random.default_rng(1))
         assert res.clamped
-        assert res.resampled == (resample_limit > 0)
+        assert res.resampled
         assert res.point[1] == cfg.floor
         assert abs(res.point.sum() - 1.0) < 1e-14
 
@@ -250,14 +248,14 @@ class TestRunOptimizer:
 
         def hand_step(x, grad, rng):
             base = x - cfg.eps * (x * grad)
-            for attempt in range(cfg.resample_limit + 1):
+            for attempt in range(optimizers._RESAMPLE_LIMIT + 1):
                 noise = sample_noise(x, cfg.eps, cfg.beta, rng, floor=cfg.floor)
                 numer = base + noise.values
                 if numer.sum() > cfg.floor and numer.min() > 0.0:
                     point, clamped = normalize_retraction(numer, floor=cfg.floor)
                     return point, clamped, attempt > 0
             point, _ = normalize_retraction(numer, floor=cfg.floor)
-            return point, True, cfg.resample_limit > 0
+            return point, True, True
 
         x = y = np.full(3, 1.0 / 3.0)
         step_rng, hand_rng = (np.random.default_rng(cfg.seed) for _ in range(2))
@@ -317,14 +315,9 @@ class TestRunOptimizer:
             LmwuConfig(eps=0.1, beta=1.0, max_iters=-1)
         with pytest.raises(ValueError):
             LmwuConfig(eps=0.1, beta=1.0, max_iters=1, floor=2.0)
-        with pytest.raises(ValueError):
-            LmwuConfig(eps=0.1, beta=1.0, max_iters=1, resample_limit=-1)
         for bad in (2.5, True):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 LmwuConfig(eps=0.1, beta=1.0, max_iters=bad)
-        for bad in (1.5, False):
-            with pytest.raises(ValueError, match="resample_limit must be an integer"):
-                LmwuConfig(eps=0.1, beta=1.0, max_iters=1, resample_limit=bad)
 
 
 def two_block_objective():
@@ -487,7 +480,7 @@ class TestRunChains:
         obj = Objective(name="scalar-grad", dim=3, block_dims=(3,),
                         fn=lambda p: (float(p.sum()), 0.5))
         cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gradient has shape"):
             run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
         with pytest.raises(ValueError, match="gradient has shape"):
             run_chains(method, obj, [0.3, 0.6, 0.1], cfg, [0, 1])

@@ -72,6 +72,16 @@ class TestLoadReturns:
         panel = load_returns(io.BytesIO(GOOD_CSV.encode()))
         assert panel.asset_names == ("alpha", "beta")
 
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        p = tmp_path / "r.csv"
+        p.write_text(GOOD_CSV, encoding="utf-8-sig")
+        streams = (io.BytesIO(p.read_bytes()), io.StringIO("\ufeff" + GOOD_CSV))
+        for source in (p, *streams):
+            panel = load_returns(source)
+            assert panel.asset_names == ("alpha", "beta")
+            assert panel.n_periods == 3
+
     def test_blank_lines_skipped(self):
         panel = panel_from(
             "date,a\n2021-01-01,0.01\n\n2021-01-02,0.02\n\n"
@@ -299,32 +309,28 @@ class TestCompareMethods:
     def test_full_grid(self):
         panel = wiggly_panel(8, 2, seed=3)
         cfg = LmwuConfig(eps=0.5, beta=1e6, max_iters=40, floor=1e-6, seed=0)
-        table = compare_methods(
+        reports, failures = compare_methods(
             panel, [MEAN_ONLY, RISK_PRESETS["mv"]],
-            ["linear-mwu", "lmwu"], cfg, window=4,
+            ["linear-mwu", Method.LMWU], cfg, window=4,
         )
-        assert not table.failures
-        assert len(table.reports) == 4
-        cells = list(table.iter_cells())
-        assert len(cells) == 4
-        for method, preset, report, failure in cells:
-            assert failure is None
-            assert report.method == method.value
-            assert report.preset == preset
-            assert table.score(method, preset) == report.score
+        assert not failures
+        # keyed by (method value, preset name), in grid order
+        assert list(reports) == [
+            ("linear-mwu", "mean-only"), ("linear-mwu", "mv"),
+            ("lmwu", "mean-only"), ("lmwu", "mv"),
+        ]
+        for (method, preset), report in reports.items():
+            assert (report.method, report.preset) == (method, preset)
 
     def test_failing_cell_is_recorded_not_fatal(self):
         panel = wiggly_panel(8, 2, seed=3)
         bad = LmwuConfig(eps=0.1, beta=1e-3, max_iters=5, seed=0)
-        table = compare_methods(
+        reports, failures = compare_methods(
             panel, [MEAN_ONLY], ["linear-mwu", "lmwu"], bad, window=4,
         )
-        assert ("linear-mwu", "mean-only") in table.reports
-        assert ("lmwu", "mean-only") in table.failures
-        assert isinstance(table.failures[("lmwu", "mean-only")],
-                          PortfolioFitError)
-        with pytest.raises(KeyError):
-            table.score("lmwu", "mean-only")
+        assert list(reports) == [("linear-mwu", "mean-only")]
+        assert list(failures) == [("lmwu", "mean-only")]
+        assert isinstance(failures[("lmwu", "mean-only")], PortfolioFitError)
 
     @pytest.mark.parametrize("window, variant", [(8, "literal"), (4, "bogus")])
     def test_bad_window_or_variant_raises_before_any_fit(
@@ -342,10 +348,10 @@ class TestCompareMethods:
     def test_cells_are_seeded_independently(self):
         panel = wiggly_panel(8, 2, seed=3)
         cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=40, floor=1e-6, seed=0)
-        table = compare_methods(panel, [MEAN_ONLY], ["lmwu"], cfg, window=4)
+        reports, _ = compare_methods(panel, [MEAN_ONLY], ["lmwu"], cfg, window=4)
         solo = rolling_window_evaluate(panel, MEAN_ONLY, "lmwu", cfg, window=4)
         # the cell uses a seed derived from cfg.seed, not cfg.seed itself
-        cell = table.reports[("lmwu", "mean-only")]
+        cell = reports[("lmwu", "mean-only")]
         assert not np.array_equal(cell.per_period_losses,
                                   solo.per_period_losses)
 
@@ -354,11 +360,12 @@ class TestCompareMethods:
         cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=40, floor=1e-6, seed=2)
         presets = [MEAN_ONLY, RISK_PRESETS["equal"], RISK_PRESETS["mv"]]
         methods = ["linear-mwu", "proj-langevin", "lmwu"]
-        grid = compare_methods(panel, presets, methods, cfg, window=4)
+        grid, _ = compare_methods(panel, presets, methods, cfg, window=4)
         for method in methods:
             for preset in presets:
-                alone = compare_methods(panel, [preset], [method], cfg, window=4)
+                alone, _ = compare_methods(panel, [preset], [method], cfg,
+                                           window=4)
                 key = (method, preset.name)
-                assert np.array_equal(alone.reports[key].per_period_losses,
-                                      grid.reports[key].per_period_losses)
-                assert alone.reports[key].score == grid.reports[key].score
+                assert np.array_equal(alone[key].per_period_losses,
+                                      grid[key].per_period_losses)
+                assert alone[key].score == grid[key].score

@@ -30,6 +30,7 @@ from simplex_langevin import (
     run_chains,
     run_optimizer,
 )
+from simplex_langevin import optimizers
 from simplex_langevin.geometry import normalize_retraction
 
 
@@ -55,7 +56,7 @@ def reference_step(x, grad, cfg, rng, drift):
     numer = base + (d + scale * rng.standard_normal(x.shape))
     total = numer.sum(axis=-1)
     ok = (total > cfg.floor) & (numer.min(axis=-1) > 0.0)
-    for _ in range(cfg.resample_limit):
+    for _ in range(optimizers._RESAMPLE_LIMIT):
         rows = np.flatnonzero(~ok)
         if rows.size == 0:
             break
