@@ -224,12 +224,20 @@ def _parse_method(text: str) -> Method:
         raise UsageError(f"unknown method {text!r} (expected one of {valid})")
 
 
+def _reject_repeats(flag: str, names: list[str]) -> None:
+    """A name given twice would run and write the same cells twice."""
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError(f"{flag} repeats {', '.join(repeated)}")
+
+
 def _parse_method_list(text: str | None, default: tuple[Method, ...]):
     if text is None:
         return default
     methods = tuple(_parse_method(t.strip()) for t in text.split(",") if t.strip())
     if not methods:
         raise UsageError("empty method list")
+    _reject_repeats("--method", [m.value for m in methods])
     return methods
 
 
@@ -285,6 +293,7 @@ def _risk_presets(text: str | None, *, single: bool) -> list[RiskPreset]:
             f"bad --preset {text!r} (expected {expected} "
             f"{', '.join(RISK_PRESETS)}{'' if single else ', or all'})"
         )
+    _reject_repeats("--preset", names)
     return [RISK_PRESETS[n] for n in names]
 
 

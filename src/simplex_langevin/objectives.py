@@ -322,16 +322,17 @@ class PortfolioLoss:
     sample mean and m_k (k >= 2) its k-th biased (divide-by-T) sample central
     moment, the loss is Σ_k (−1)^k λ_k m_k — mean is rewarded, variance
     penalized, skewness rewarded, and so on with alternating signs. The
-    column means r̄, the centred panel R − r̄, the coefficients (−1)^k λ_k
-    and the orders k >= 2 with λ_k ≠ 0 are computed once, here.
+    centred panel R − r̄ (r̄ the column means), the coefficients
+    (−1)^k λ_k, the mean term's gradient −λ_1·r̄ and the highest order with
+    λ_k ≠ 0 are computed once, here.
     """
 
     returns: np.ndarray
     lambdas: np.ndarray
-    _rbar: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean_grad: np.ndarray = field(init=False, repr=False, compare=False)
     _centred: np.ndarray = field(init=False, repr=False, compare=False)
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
-    _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "returns", np.asarray(self.returns, dtype=float))
@@ -343,12 +344,12 @@ class PortfolioLoss:
             raise ValueError("returns must be finite")
         _check_lambdas(lam)
         rbar = r.mean(axis=0)
-        object.__setattr__(self, "_rbar", rbar)
         object.__setattr__(self, "_centred", r - rbar)
         signs = np.array([(-1.0) ** k for k in range(1, lam.size + 1)])
         object.__setattr__(self, "_coef", signs * lam)
-        object.__setattr__(self, "_orders", tuple(
-            k for k in range(2, lam.size + 1) if lam[k - 1] != 0.0
+        object.__setattr__(self, "_mean_grad", self._coef[0] * rbar)
+        object.__setattr__(self, "_top", max(
+            k for k in range(1, lam.size + 1) if lam[k - 1] != 0.0
         ))
 
     @property
@@ -360,43 +361,46 @@ class PortfolioLoss:
         return self.lambdas.size
 
 
-def _moments(loss: PortfolioLoss, w, orders) -> tuple[np.ndarray, list]:
-    """Moments (m_1, ..., m_d) at ``w`` with m_k set for the k >= 2 in
-    ``orders`` and left at 0 otherwise, and the powers [c, c**2, ...] of the
-    centred return series c = p − m_1 up to the highest of ``orders``, each
-    built once."""
+def _moments(loss: PortfolioLoss, w, top: int) -> tuple[list, list]:
+    """Moments [m_1, ..., m_top] at ``w`` as floats, and the powers
+    [c, c·c, c·c·c, ...] of the centred return series c = p − m_1 up to
+    c^top, each one multiplication from the last."""
     p = loss.returns @ np.asarray(w, dtype=float)
     t_count = p.size
-    mu = np.add.reduce(p) / t_count
-    c = p - mu
-    powers = [c] + [c ** k for k in range(2, max(orders, default=1) + 1)]
-    m = np.zeros(loss.order)
-    m[0] = mu
-    for k in orders:
-        m[k - 1] = np.add.reduce(powers[k - 1]) / t_count
+    mu = float(np.add.reduce(p)) / t_count
+    powers = [p - mu]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * powers[0])
+    m = [mu] + [float(np.add.reduce(c_k)) / t_count for c_k in powers[1:]]
     return m, powers
 
 
 def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     """Sample moments (m_1, ..., m_d) of the portfolio return series at ``w``."""
-    return _moments(loss, w, range(2, loss.order + 1))[0]
+    return np.array(_moments(loss, w, loss.order)[0])
 
 
 def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple[float, np.ndarray]:
     """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``.
 
     ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
-    ∂m_k/∂w = (k/T)·Σ_t (p_t − μ)^{k−1} (r_t − r̄). Only the moments with
-    λ_k ≠ 0 are computed, so no power above the highest of them is built.
+    ∂m_k/∂w = (k/T)·Σ_t c_t^{k−1} (r_t − r̄) with c = p − μ. The gradient
+    sums the series Σ_k (−1)^k λ_k (k/T)·c^{k−1} over the orders with
+    λ_k ≠ 0 and takes one product of it with the centred panel. No power
+    above the highest order with λ_k ≠ 0 is built.
     """
-    m, powers = _moments(loss, w, loss._orders)
-    value = float((loss._coef * m).sum())
-    t_count = loss.returns.shape[0]
-    grad = loss._coef[0] * loss._rbar
-    for k in loss._orders:
-        dm = (k / t_count) * powers[k - 2] @ loss._centred
-        grad = grad + loss._coef[k - 1] * dm
-    return value, grad
+    m, powers = _moments(loss, w, loss._top)
+    coef = loss._coef.tolist()
+    value = 0.0
+    for coef_k, m_k in zip(coef, m):
+        value += coef_k * m_k
+    if loss._top == 1:
+        return value, loss._mean_grad.copy()
+    t_count = powers[0].size
+    terms = [(coef[k - 1] * k / t_count) * powers[k - 2]
+             for k in range(2, loss._top + 1) if coef[k - 1] != 0.0]
+    series = sum(terms[1:], terms[0])
+    return value, loss._mean_grad + series @ loss._centred
 
 
 def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objective:

@@ -179,6 +179,13 @@ class TestExitCodes:
              "empty method list"),
             (["noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"],
              "noise-check point has a coordinate below floor 1.000e-03"),
+            # a repeated name would fit and write the same cells again
+            (["compare", "--objective", "f1", "--method", "lmwu,lmwu"],
+             "--method repeats lmwu"),
+            (["portfolio", "--returns", RETURNS, "--preset", "mv,mv"],
+             "--preset repeats mv"),
+            (["portfolio", "--returns", RETURNS, "--method", "lmwu,lmwu"],
+             "--method repeats lmwu"),
         ],
     )
     def test_usage_error_messages(self, argv, message, returns_file, tmp_path,

@@ -66,6 +66,13 @@ def invocations() -> list[tuple[str, list[str]]]:
     for preset in PRESETS:
         runs.append((f"optimize-returns-{preset}", [
             "optimize", "--returns", PANEL, "--preset", preset]))
+    # the panel objective through the single-chain loop of every method,
+    # and through the batched chains' row-by-row evaluation
+    runs.append(("compare-returns-mvsk", [
+        "compare", "--returns", PANEL, "--preset", "mvsk"]))
+    runs.append(("sweep-returns-equal", [
+        "sweep", "--returns", PANEL, "--preset", "equal", "--method", "lmwu",
+        "--samples", "8"]))
     runs.append(("noise-check-f1", [
         "noise-check", "--objective", "f1", "--init", "paper", "--out", "."]))
     runs.append(("noise-check-f5", [
