@@ -317,6 +317,35 @@ def reference_value_and_grad(loss, w):
     return value, grad, m
 
 
+def plain_value_and_grad(loss, w):
+    """The shipped kernel's arithmetic written out plainly: every power of
+    ``c`` up to c^d by repeated multiplication, every moment, the signs built
+    on each call, and the gradient series summed over the orders with
+    λ_k ≠ 0 before one product with the centred panel. The shipped kernel,
+    which skips the powers above the highest nonzero order and caches the
+    signs, the centred panel and the mean term, must give the same bits."""
+    p = loss.returns @ np.asarray(w, dtype=float)
+    t_count = p.size
+    mu = p.mean()
+    powers = [p - mu]
+    for _ in range(loss.order - 1):
+        powers.append(powers[-1] * powers[0])
+    m = np.array([mu] + [c_k.mean() for c_k in powers[1:]])
+    signs = np.array([(-1.0) ** k for k in range(1, loss.order + 1)])
+    value = float((signs * loss.lambdas * m).sum())
+    rbar = loss.returns.mean(axis=0)
+    grad = signs[0] * loss.lambdas[0] * rbar
+    series = None
+    for k in range(2, loss.order + 1):
+        if loss.lambdas[k - 1] == 0.0:
+            continue
+        term = (signs[k - 1] * loss.lambdas[k - 1] * k / t_count) * powers[k - 2]
+        series = term if series is None else series + term
+    if series is not None:
+        grad = grad + series @ (loss.returns - rbar)
+    return value, grad, m
+
+
 def exact_value_and_grad(loss, w):
     """Loss, gradient and moments (m_1, ..., m_d) at the float inputs
     ``loss.returns``, ``loss.lambdas`` and ``w``, computed in exact rational
@@ -371,6 +400,30 @@ KERNEL_LAMBDAS = {
 # Allowed error in units of T·u times the absolute scale. Both the shipped
 # kernel and the reference above stay below 0.47 of that unit on these cases.
 KERNEL_KAPPA = 2.0
+
+
+@pytest.mark.parametrize("t_count", [2, 7, 250])
+@pytest.mark.parametrize("lam", KERNEL_LAMBDAS.values(), ids=KERNEL_LAMBDAS)
+def test_portfolio_kernel_bit_equals_reference(lam, t_count):
+    rng = np.random.default_rng(t_count)
+    # returns of unit scale, so that the higher moments weigh as much as the
+    # mean and a last-bit change in a power of c reaches value and gradient
+    returns = rng.standard_t(4, (t_count, 10))
+    loss = PortfolioLoss(returns, lam)
+    obj = portfolio_objective(loss)
+    # interior points, and points with half their coordinates at the 1e-6
+    # floor the portfolio fits use
+    points = [interior_point(rng, 10) for _ in range(10)]
+    for _ in range(10):
+        w = interior_point(rng, 10)
+        w[rng.permutation(10)[:5]] = 1e-6
+        points.append(w / w.sum())
+    for w in points:
+        value, grad, moments = plain_value_and_grad(loss, w)
+        got_value, got_grad = obj.value_and_grad(w)
+        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert got_grad.tobytes() == grad.tobytes()
+        assert portfolio_moments(loss, w).tobytes() == moments.tobytes()
 
 
 @pytest.mark.parametrize("t_count", [2, 7, 250])
