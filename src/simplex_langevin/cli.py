@@ -128,7 +128,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as load_returns does
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
@@ -475,8 +476,7 @@ def cmd_noise_check(args) -> int:
 
     drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
     rng = np.random.default_rng(cfg.seed)
-    draws = sample_noise(point, eps, beta, rng, floor=cfg.floor, size=n_samples)
-    values = draws.values
+    values = sample_noise(point, eps, beta, rng, floor=cfg.floor, size=n_samples)
     var_expected = 2.0 * eps / beta * point
     mean = values.mean(axis=0)
     var = values.var(axis=0, ddof=1)

@@ -21,7 +21,6 @@ __all__ = [
     "DegeneratePointError",
     "RetractionFailureError",
     "TangentVector",
-    "NoiseDraw",
     "simplex_point",
     "barycenter",
     "shahshahani_gradient",
@@ -59,19 +58,6 @@ class TangentVector:
         total = float(self.components.sum())
         if not math.isfinite(total) or abs(total) > SUM_TOL:
             raise ValueError(f"tangent components must sum to 0, got {total!r}")
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One (or a batch of) multiplicative Gaussian noise draw(s).
-
-    ``values = drift_part + gauss_part`` holds exactly, componentwise: the
-    fields are stored as the two addends and their literal float sum.
-    """
-
-    values: np.ndarray
-    drift_part: np.ndarray
-    gauss_part: np.ndarray
 
 
 def simplex_point(values) -> np.ndarray:
@@ -207,22 +193,19 @@ def sample_noise(
     *,
     floor: float = DEFAULT_FLOOR,
     size: int | None = None,
-) -> NoiseDraw:
+) -> np.ndarray:
     """Draw the per-step noise V: christoffel drift plus √(2εβ⁻¹x_i)·z_i.
 
-    ``z_i`` are IID standard normals from ``rng``. With ``size`` given, draws
-    a batch with ``values`` of shape (size, n) sharing one drift evaluation
-    (the drift is deterministic at ``x``); identical seeds give bit-identical
+    ``z_i`` are IID standard normals from ``rng``. With ``size`` given,
+    returns a (size, n) batch of draws sharing one drift evaluation (the
+    drift is deterministic at ``x``); identical seeds give bit-identical
     draws either way.
     """
     x = np.asarray(x, dtype=float)
     drift = christoffel_drift(x, eps, beta, floor=floor)
     scale = np.sqrt((2.0 * eps / beta) * x)
     shape = x.shape if size is None else (int(size), x.size)
-    gauss = scale * rng.standard_normal(shape)
-    if size is not None:
-        drift = np.broadcast_to(drift, gauss.shape)
-    return NoiseDraw(values=drift + gauss, drift_part=drift, gauss_part=gauss)
+    return drift + scale * rng.standard_normal(shape)
 
 
 def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:

@@ -100,85 +100,65 @@ class Objective:
 # benchmark functions
 # ---------------------------------------------------------------------------
 
-def _double_well_log(p, qa, ca, qb, cb):
-    """-ln(e^a + e^b) for two concave quadratic exponents, with gradients.
+def _double_well(qa, ca, qb, cb, shift):
+    """f(p) = −ln(e^a + e^b) + p_2 + shift for two concave quadratic
+    exponents a = −Σ qa_i (p_i − ca_i)² and b likewise; its gradient is
+    −(w_a ∇a + w_b ∇b) + e_2 for the softmax weights w.
 
-    a = -Σ qa_i (p_i - ca_i)², b likewise; returns (value, grad) where
-    grad = -(w_a ∇a + w_b ∇b) for the softmax weights w.
+    Returns the one-point form p -> (value, grad) and the (K, n) form, which
+    does the same operations in the same order on each row. exp and log stay
+    ``math`` calls per row there: NumPy's vectorized exp and log may round
+    differently. A zero ``shift`` changes no value: a sum is −0 only when both
+    addends are, and p_2 is a simplex coordinate.
     """
-    da = p - ca
-    db = p - cb
-    a = -float((qa * da * da).sum())
-    b = -float((qb * db * db).sum())
-    m = a if a >= b else b
-    ea = math.exp(a - m)
-    eb = math.exp(b - m)
-    s = ea + eb
-    value = -(m + math.log(s))
-    wa = ea / s
-    wb = eb / s
-    grad = wa * (2.0 * qa * da) + wb * (2.0 * qb * db)
-    return value, grad
 
+    def one(p):
+        da = p - ca
+        db = p - cb
+        a = -float((qa * da * da).sum())
+        b = -float((qb * db * db).sum())
+        m = a if a >= b else b
+        ea = math.exp(a - m)
+        eb = math.exp(b - m)
+        s = ea + eb
+        grad = (ea / s) * (2.0 * qa * da) + (eb / s) * (2.0 * qb * db)
+        grad[1] += 1.0
+        return -(m + math.log(s)) + p[1] + shift, grad
 
-def _double_well_log_rows(p, qa, ca, qb, cb):
-    """:func:`_double_well_log` on each row of a (K, n) array, with the same
-    operations in the same order. exp and log stay ``math`` calls per row:
-    NumPy's vectorized exp and log may round differently."""
-    da = p - ca
-    db = p - cb
-    a = -(qa * da * da).sum(axis=-1)
-    b = -(qb * db * db).sum(axis=-1)
-    m = np.where(a >= b, a, b)
-    ea = np.array([math.exp(t) for t in (a - m).tolist()])
-    eb = np.array([math.exp(t) for t in (b - m).tolist()])
-    s = ea + eb
-    value = -(m + np.array([math.log(t) for t in s.tolist()]))
-    wa = (ea / s)[:, None]
-    wb = (eb / s)[:, None]
-    grad = wa * (2.0 * qa * da) + wb * (2.0 * qb * db)
-    return value, grad
+    def rows(p):
+        da = p - ca
+        db = p - cb
+        a = -(qa * da * da).sum(axis=-1)
+        b = -(qb * db * db).sum(axis=-1)
+        m = np.where(a >= b, a, b)
+        ea = np.array([math.exp(t) for t in (a - m).tolist()])
+        eb = np.array([math.exp(t) for t in (b - m).tolist()])
+        s = ea + eb
+        value = -(m + np.array([math.log(t) for t in s.tolist()]))
+        grad = ((ea / s)[:, None] * (2.0 * qa * da)
+                + (eb / s)[:, None] * (2.0 * qb * db))
+        grad[:, 1] += 1.0
+        return value + p[:, 1] + shift, grad
+
+    return one, rows
 
 
 _F1_QA = np.array([10.0, 20.0, 30.0])
 _F1_CA = np.array([0.3, 0.5, 0.2])
 _F1_QB = np.array([30.0, 20.0, 36.0])
 _F1_CB = np.array([0.4, 0.2, 0.4])
-
-
-def _f1(p: np.ndarray) -> tuple[float, np.ndarray]:
-    v, g = _double_well_log(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
-    g[1] += 1.0
-    return v + p[1] + 10.0, g
-
-
 _F2_QA = np.array([15.0, 60.0, 10.0])
 _F2_CA = np.array([0.4, 0.4, 0.2])
 _F2_QB = np.array([3.0, 2.0, 6.0])
 _F2_CB = np.array([0.4, 0.2, 0.4])
 
-
-def _f2(p: np.ndarray) -> tuple[float, np.ndarray]:
-    v, g = _double_well_log(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
-    g[1] += 1.0
-    return v + p[1], g
-
-
-def _f1_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v, g = _double_well_log_rows(p, _F1_QA, _F1_CA, _F1_QB, _F1_CB)
-    g[:, 1] += 1.0
-    return v + p[:, 1] + 10.0, g
-
-
-def _f2_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v, g = _double_well_log_rows(p, _F2_QA, _F2_CA, _F2_QB, _F2_CB)
-    g[:, 1] += 1.0
-    return v + p[:, 1], g
-
+# the one-point and (K, n) forms of f1 and f2
+_F1 = _double_well(_F1_QA, _F1_CA, _F1_QB, _F1_CB, 10.0)
+_F2 = _double_well(_F2_QA, _F2_CA, _F2_QB, _F2_CB, 0.0)
 
 # the vectorized (K, n) form of an ``fn``, where one exists; used by
 # Objective.values_and_grads
-_ROWS_FNS = {_f1: _f1_rows, _f2: _f2_rows}
+_ROWS_FNS = dict((_F1, _F2))
 
 
 def _f3(p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -264,8 +244,8 @@ _CERTIFIED_OPTIMA = {
 }
 
 _TEST_FUNCTIONS: dict[str, tuple[Callable, int]] = {
-    "f1": (_f1, 3),
-    "f2": (_f2, 3),
+    "f1": (_F1[0], 3),
+    "f2": (_F2[0], 3),
     "f3": (_f3, 3),
     "f4": (_f4, 3),
     "f5": (_f5, 5),
@@ -426,7 +406,7 @@ def finite_difference_gradient(fun, point, step: float = 1e-6) -> np.ndarray:
         point: where to differentiate.
         step: perturbation size h; error is O(h²) for smooth ``fun``.
     """
-    f = fun.value if isinstance(fun, Objective) else fun
+    f = (lambda p: fun.value_and_grad(p)[0]) if isinstance(fun, Objective) else fun
     x = np.asarray(point, dtype=float)
     if step <= 0.0:
         raise ValueError("step must be positive")

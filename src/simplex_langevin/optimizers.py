@@ -118,6 +118,9 @@ class LmwuConfig:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
         if not (0.0 < self.floor < 1.0):
             raise ValueError("floor must lie in (0, 1)")
 
@@ -240,27 +243,25 @@ def lmwu_step(
     """
     x = np.asarray(x, dtype=float)
     base, drift, scale = _lmwu_terms(x, grad, cfg)
-    numer = None
-    total = -math.inf
     for attempt in range(_RESAMPLE_LIMIT + 1):
         numer = base + (drift + scale * rng.standard_normal(x.shape))
         total = float(numer.sum())
         if total > cfg.floor and numer.min() > 0.0:
-            point, clamped = normalize_retraction(numer, floor=cfg.floor)
-            return StepResult(point, clamped, attempt > 0)
-    if total > cfg.floor:
-        # salvageable: only sign violations remain, clamp them away
-        point, _ = normalize_retraction(numer, floor=cfg.floor)
-        return StepResult(point, True, True)
-    raise _denominator_failure(total)
+            break
+    if not total > cfg.floor:
+        raise _denominator_failure(total)
+    # a draw kept past the budget has a numerator <= 0, which normalizes
+    # below the floor, so it comes back clamped
+    point, clamped = normalize_retraction(numer, floor=cfg.floor)
+    return StepResult(point, clamped, attempt > 0)
 
 
 def _lmwu_terms(x: np.ndarray, grad: np.ndarray, cfg: LmwuConfig):
     """The parts of an ``lmwu`` numerator that are fixed at ``x`` (a point or
     a (K, n) stack of points): ``base`` = x − ε·x∘g, the christoffel
     ``drift`` and the noise ``scale`` √(2εβ⁻¹x). A draw z gives the
-    numerator ``base + (drift + scale * z)``, the ``base + sample_noise(...)
-    .values`` of the same z."""
+    numerator ``base + (drift + scale * z)``, the ``base + sample_noise(...)``
+    of the same z."""
     base = x - cfg.eps * shahshahani_gradient(x, grad)
     drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=cfg.floor)
     scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
@@ -318,7 +319,7 @@ class _BlockLayout:
             block = x[s]
             if not np.isfinite(block).all() or block.min() < floor:
                 raise ValueError("init coordinates must be finite and >= floor")
-            if abs(float(block.sum()) - 1.0) > SUM_TOL:
+            if _left_simplex(block):
                 raise ValueError("each init block must sum to 1 within 1e-9")
 
     def rngs(self, seed: int) -> list[np.random.Generator]:
@@ -359,9 +360,10 @@ class _BlockLayout:
 
 
 def _left_simplex(points: np.ndarray):
-    """Whether a point (or each row of a stack) has its sum off 1 by more
-    than ``SUM_TOL`` or a coordinate <= 0."""
-    return (np.abs(points.sum(axis=-1) - 1.0) > SUM_TOL) | (points.min(axis=-1) <= 0.0)
+    """Whether a point (or each row of a stack) fails the simplex rule: a sum
+    within ``SUM_TOL`` of 1 and every coordinate > 0. NaN and inf fail it."""
+    return ~((np.abs(points.sum(axis=-1) - 1.0) <= SUM_TOL)
+             & (points.min(axis=-1) > 0.0))
 
 
 def _off_simplex_error(block: np.ndarray, b: int) -> StepFailureError:

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import lift_to_interior
+from .geometry import barycenter, lift_to_interior
 from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
 from .objectives import _check_lambdas
 from .optimizers import (
@@ -155,12 +155,15 @@ class EvaluationReport:
     variant: str
     dates: tuple[str, ...]
     per_period_losses: np.ndarray
-    score: float
     runtime_seconds: float
 
     @property
     def periods(self) -> int:
         return len(self.dates)
+
+    @property
+    def score(self) -> float:
+        return float(self.per_period_losses.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +312,7 @@ def rolling_window_evaluate(
             f"window {window} must be smaller than the panel length {t_total}"
         )
 
-    n = panel.n_assets
-    uniform = np.full(n, 1.0 / n)
-    w_init = uniform
+    w_init = barycenter(panel.n_assets)
     losses = np.empty(t_total - window)
     started = time.perf_counter()
     for j in range(t_total - window):
@@ -345,7 +346,6 @@ def rolling_window_evaluate(
         variant=variant,
         dates=panel.dates[window:],
         per_period_losses=losses,
-        score=float(losses.mean()),
         runtime_seconds=runtime,
     )
 

@@ -233,8 +233,7 @@ def test_criterion_03_noise_moments():
     worst = 0.0
     for x in points:
         drift = christoffel_drift(x, eps, beta)
-        sample = sample_noise(x, eps, beta, rng, size=draws)
-        values = sample.values
+        values = sample_noise(x, eps, beta, rng, size=draws)
         var_expected = 2.0 * eps / beta * x
         mean_se = np.sqrt(var_expected / draws)
         var_se = var_expected * math.sqrt(2.0 / (draws - 1))

@@ -186,6 +186,10 @@ class TestExitCodes:
              "--preset repeats mv"),
             (["portfolio", "--returns", RETURNS, "--method", "lmwu,lmwu"],
              "--method repeats lmwu"),
+            (["optimize", "--objective", "f1", "--seed", "-1"],
+             "seed must be a non-negative integer"),
+            (["sweep", "--objective", "f1", "--seed", "-1"],
+             "seed must be a non-negative integer"),
         ],
     )
     def test_usage_error_messages(self, argv, message, returns_file, tmp_path,
@@ -273,6 +277,14 @@ class TestSeedPrecedence:
         monkeypatch.setenv(ENV_SEED, "eleven")
         assert main(self.BASE + ["--out", str(tmp_path)]) == 2
 
+    def test_negative_env_seed_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv(ENV_SEED, "-3")
+        assert main(["sweep", "--objective", "f1", "--iters", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer\n"
+
 
 class TestConfigFile:
     def test_key_value_with_comments(self, tmp_path):
@@ -350,6 +362,18 @@ class TestConfigFile:
             else:
                 assert (by_flags / name).read_bytes() == \
                     (by_config / name).read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "objective=f1\niters=3\n", '{"objective": "f1", "iters": 3}',
+    ], ids=["key=value", "json"])
+    def test_config_with_byte_order_mark(self, tmp_path, text):
+        # editors that save "UTF-8 with BOM" start the file with U+FEFF
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeff" + text, encoding="utf-8")
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        assert len(rows) == 4
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["optimize", "--objective", "f1",

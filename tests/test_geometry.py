@@ -168,19 +168,16 @@ class TestSampleNoise:
         x = np.array([0.3, 0.6, 0.1])
         a = sample_noise(x, 0.1, 1.0, np.random.default_rng(5))
         b = sample_noise(x, 0.1, 1.0, np.random.default_rng(5))
-        assert np.array_equal(a.values, b.values)
-
-    def test_decomposition_identity(self):
-        x = np.array([0.3, 0.6, 0.1])
-        draw = sample_noise(x, 0.1, 1.0, np.random.default_rng(2))
-        assert np.array_equal(draw.values, draw.drift_part + draw.gauss_part)
+        assert np.array_equal(a, b)
 
     def test_batch_shares_drift(self):
+        # every row is the one drift plus its own scaled normals, bit for bit
         x = np.array([0.25, 0.75])
         draw = sample_noise(x, 0.2, 2.0, np.random.default_rng(0), size=64)
-        assert draw.values.shape == (64, 2)
-        single = christoffel_drift(x, 0.2, 2.0)
-        assert np.array_equal(draw.drift_part, np.broadcast_to(single, (64, 2)))
+        assert draw.shape == (64, 2)
+        z = np.random.default_rng(0).standard_normal((64, 2))
+        expected = christoffel_drift(x, 0.2, 2.0) + np.sqrt(2.0 * 0.2 / 2.0 * x) * z
+        assert np.array_equal(draw, expected)
 
 
 class TestNormalizeRetraction:

@@ -249,8 +249,8 @@ class TestRunOptimizer:
         def hand_step(x, grad, rng):
             base = x - cfg.eps * (x * grad)
             for attempt in range(optimizers._RESAMPLE_LIMIT + 1):
-                noise = sample_noise(x, cfg.eps, cfg.beta, rng, floor=cfg.floor)
-                numer = base + noise.values
+                numer = base + sample_noise(x, cfg.eps, cfg.beta, rng,
+                                            floor=cfg.floor)
                 if numer.sum() > cfg.floor and numer.min() > 0.0:
                     point, clamped = normalize_retraction(numer, floor=cfg.floor)
                     return point, clamped, attempt > 0
@@ -318,6 +318,10 @@ class TestRunOptimizer:
         for bad in (2.5, True):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 LmwuConfig(eps=0.1, beta=1.0, max_iters=bad)
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError,
+                               match="seed must be a non-negative integer"):
+                LmwuConfig(eps=0.1, beta=1.0, max_iters=1, seed=bad)
 
 
 def two_block_objective():
@@ -484,6 +488,24 @@ class TestRunChains:
             run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
         with pytest.raises(ValueError, match="gradient has shape"):
             run_chains(method, obj, [0.3, 0.6, 0.1], cfg, [0, 1])
+
+    @pytest.mark.parametrize("method, error, match", [
+        ("linear-mwu", StepFailureError, "left the simplex"),
+        ("exp-mwu", StepFailureError, "left the simplex"),
+        ("lmwu", StepFailureError, "update denominator nan"),
+        ("proj-langevin", ValueError, "projection input must be finite"),
+    ], ids=["linear-mwu", "exp-mwu", "lmwu", "proj-langevin"])
+    def test_nan_gradient_fails_in_both_loops(self, method, error, match):
+        # a NaN iterate is off the simplex: no method may return one
+        obj = Objective(name="nan-grad", dim=3, block_dims=(3,),
+                        fn=lambda p: (float(p.sum()), np.full(3, np.nan)))
+        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=5)
+        for run in (lambda: run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg),
+                    lambda: run_chains(method, obj, [0.3, 0.6, 0.1], cfg, [0, 1])):
+            with pytest.raises(error, match=match) as info:
+                run()
+            if error is StepFailureError:
+                assert info.value.iteration == 1
 
     def test_rejects_multi_block_objective_and_no_seeds(self):
         cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=3)

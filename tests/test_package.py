@@ -15,8 +15,8 @@ def test_module_names_are_the_package_names():
 
 
 def test_returned_and_raised_types_are_exported():
-    # returned by run_chains, lmwu_step and sample_noise, raised by
+    # returned by run_chains and lmwu_step, raised by
     # rolling_window_evaluate, and the accepted values of ``variant``
     from simplex_langevin import (  # noqa: F401
-        VARIANTS, ChainEnds, NoiseDraw, PortfolioFitError, StepResult,
+        VARIANTS, ChainEnds, PortfolioFitError, StepResult,
     )

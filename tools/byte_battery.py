@@ -51,7 +51,10 @@ def invocations() -> list[tuple[str, list[str]]]:
                 runs.append((f"optimize-{fid}-{init}-{method}",
                              ["optimize", "--method", method, *common]))
             runs.append((f"compare-{fid}-{init}", ["compare", *common]))
-            for method in ("lmwu", "proj-langevin"):
+            # the deterministic sweeps run the batched row path over the
+            # vectorized f1/f2 evaluation
+            sweeps = METHODS if fid in ("f1", "f2") else ("lmwu", "proj-langevin")
+            for method in sweeps:
                 runs.append((f"sweep-{fid}-{init}-{method}",
                              ["sweep", "--method", method, "--samples", "8",
                               *common]))
