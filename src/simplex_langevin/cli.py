@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
-    DegeneratePointError,
     RetractionFailureError,
     barycenter,
     christoffel_drift,
@@ -49,7 +48,6 @@ from .optimizers import (
     LmwuConfig,
     Method,
     StepFailureError,
-    StepSizeError,
     run_chains,
     run_optimizer,
 )
@@ -58,7 +56,6 @@ from .portfolio import (
     DEFAULT_WINDOW,
     RISK_PRESETS,
     ReturnsParseError,
-    PortfolioFitError,
     RiskPreset,
     VARIANTS,
     compare_methods,
@@ -102,10 +99,6 @@ PAPER_PRESETS: dict[str, ExperimentPreset] = {
 GENERIC_PRESET = ExperimentPreset((), 1e-3, 1e-4, 100.0)
 
 
-class UsageError(Exception):
-    """Bad flag/config values; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
@@ -132,14 +125,14 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     if text.lstrip().startswith(("{", "[")):
         try:
             cfg = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"bad JSON config: {exc}") from exc
+            raise ValueError(f"bad JSON config: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise UsageError("JSON config must be an object")
+            raise ValueError("JSON config must be an object")
         return cfg
     cfg = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -147,7 +140,7 @@ def _load_config(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key=value")
+            raise ValueError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         cfg[key.strip()] = value.strip()
     return cfg
@@ -164,14 +157,14 @@ def _merge_config(args) -> None:
     ]
     for key, value in _load_config(args.config).items():
         if key not in value_flags:
-            raise UsageError(
+            raise ValueError(
                 f"unknown config key {key!r} for {args.command} "
                 f"(expected one of {', '.join(value_flags)})"
             )
         try:
             parsed = _FLAGS[key].get("type", str)(str(value))
         except ValueError as exc:
-            raise UsageError(f"config value for {key!r}: {exc}") from exc
+            raise ValueError(f"config value for {key!r}: {exc}") from exc
         if getattr(args, key) is None:
             setattr(args, key, parsed)
 
@@ -184,7 +177,7 @@ def _env_seed(default: int) -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise UsageError(f"{ENV_SEED} must be an integer: {env!r}") from exc
+        raise ValueError(f"{ENV_SEED} must be an integer: {env!r}") from exc
 
 
 # the LmwuConfig field that each run-config flag sets
@@ -200,10 +193,7 @@ def _resolve_cfg(args, defaults: LmwuConfig) -> LmwuConfig:
         for flag, field in _CFG_FIELDS.items()
         if getattr(args, flag, None) is not None
     }
-    try:
-        return replace(defaults, seed=seed, **flags)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return replace(defaults, seed=seed, **flags)
 
 
 def _run_cfg(args, preset: ExperimentPreset | None, method: Method) -> LmwuConfig:
@@ -222,14 +212,14 @@ def _parse_method(text: str) -> Method:
         return Method(text)
     except ValueError:
         valid = ", ".join(m.value for m in Method)
-        raise UsageError(f"unknown method {text!r} (expected one of {valid})")
+        raise ValueError(f"unknown method {text!r} (expected one of {valid})")
 
 
 def _reject_repeats(flag: str, names: list[str]) -> None:
     """A name given twice would run and write the same cells twice."""
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
-        raise UsageError(f"{flag} repeats {', '.join(repeated)}")
+        raise ValueError(f"{flag} repeats {', '.join(repeated)}")
 
 
 def _parse_method_list(text: str | None, default: tuple[Method, ...]):
@@ -237,7 +227,7 @@ def _parse_method_list(text: str | None, default: tuple[Method, ...]):
         return default
     methods = tuple(_parse_method(t.strip()) for t in text.split(",") if t.strip())
     if not methods:
-        raise UsageError("empty method list")
+        raise ValueError("empty method list")
     _reject_repeats("--method", [m.value for m in methods])
     return methods
 
@@ -250,7 +240,7 @@ def _parse_init(
         return np.concatenate([barycenter(d) for d in objective.block_dims])
     if text == "paper":
         if preset is None:
-            raise UsageError(
+            raise ValueError(
                 "--init paper needs one of the bundled objectives "
                 f"({', '.join(PAPER_PRESETS)})"
             )
@@ -258,12 +248,12 @@ def _parse_init(
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"bad --init {text!r}: expected 'uniform', 'paper', or "
             "comma-separated coordinates"
         ) from None
     if objective is not None and len(values) != objective.dim:
-        raise UsageError(
+        raise ValueError(
             f"--init has {len(values)} coordinates, objective "
             f"{objective.name!r} has {objective.dim}"
         )
@@ -273,7 +263,7 @@ def _parse_init(
 def _objective_id(text: str | None) -> str | None:
     """The ``--objective`` id, checked against the bundled ids, or None."""
     if text is not None and text not in TEST_FUNCTION_IDS:
-        raise UsageError(
+        raise ValueError(
             f"unknown objective {text!r} "
             f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
         )
@@ -290,7 +280,7 @@ def _risk_presets(text: str | None, *, single: bool) -> list[RiskPreset]:
     if (not names or (single and len(names) > 1)
             or not set(names) <= RISK_PRESETS.keys()):
         expected = "one of" if single else "names from"
-        raise UsageError(
+        raise ValueError(
             f"bad --preset {text!r} (expected {expected} "
             f"{', '.join(RISK_PRESETS)}{'' if single else ', or all'})"
         )
@@ -303,10 +293,10 @@ def _resolve_objective(args):
     defaults; it is None for a ``--returns`` objective."""
     objective_id = _objective_id(args.objective)
     if (objective_id is None) == (args.returns is None):
-        raise UsageError("exactly one of --objective or --returns is required")
+        raise ValueError("exactly one of --objective or --returns is required")
     if objective_id is not None:
         if args.preset is not None:
-            raise UsageError("--preset needs --returns, not --objective")
+            raise ValueError("--preset needs --returns, not --objective")
         objective = test_function(objective_id)
         paper = args.init == "paper"
         preset = PAPER_PRESETS[objective_id] if paper else GENERIC_PRESET
@@ -386,7 +376,7 @@ def cmd_sweep(args) -> int:
     method = Method.LMWU if args.method is None else _parse_method(args.method)
     count = 20 if args.samples is None else args.samples
     if count < 1:
-        raise UsageError("--samples must be >= 1 for sweep")
+        raise ValueError("--samples must be >= 1 for sweep")
     cfg = _run_cfg(args, preset, method)
     seeds = range(cfg.seed, cfg.seed + count)
     ends = run_chains(method, objective, init, cfg, seeds)
@@ -402,7 +392,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_portfolio(args) -> int:
     if args.returns is None:
-        raise UsageError("portfolio requires --returns")
+        raise ValueError("portfolio requires --returns")
     panel = load_returns(args.returns)
     presets = _risk_presets(args.preset, single=False)
     methods = _parse_method_list(args.method, tuple(Method))
@@ -456,7 +446,7 @@ def cmd_noise_check(args) -> int:
             args.init, test_function(objective_id), PAPER_PRESETS[objective_id]
         )
     elif args.init in ("uniform", "paper"):
-        raise UsageError(f"--init {args.init} needs --objective")
+        raise ValueError(f"--init {args.init} needs --objective")
     elif args.init is not None:
         point = _parse_init(args.init, None, None)
     else:
@@ -464,14 +454,14 @@ def cmd_noise_check(args) -> int:
     try:
         point = simplex_point(point)
     except ValueError as exc:
-        raise UsageError(f"noise-check point: {exc}") from exc
+        raise ValueError(f"noise-check point: {exc}") from exc
     if point.min() < cfg.floor:
-        raise UsageError(
+        raise ValueError(
             f"noise-check point has a coordinate below floor {cfg.floor:.3e}"
         )
     n_samples = 100_000 if args.samples is None else args.samples
     if n_samples < 10_000:
-        raise UsageError("--samples must be >= 10000 for a meaningful check")
+        raise ValueError("--samples must be >= 10000 for a meaningful check")
     eps, beta = cfg.eps, cfg.beta
 
     drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
@@ -588,18 +578,11 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ReturnsParseError, PortfolioFitError, DegeneratePointError,
-            RetractionFailureError) as exc:
+    except (ReturnsParseError, RetractionFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except StepFailureError as exc:
         print(f"error: step failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except StepSizeError as exc:
-        print(f"error: step size too large: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DegeneratePointError",
     "RetractionFailureError",
     "TangentVector",
     "simplex_point",
@@ -35,10 +34,6 @@ __all__ = [
 
 DEFAULT_FLOOR = 1e-12
 SUM_TOL = 1e-9
-
-
-class DegeneratePointError(ValueError):
-    """A coordinate sits below the positivity floor, so 1/x_i terms blow up."""
 
 
 class RetractionFailureError(RuntimeError):
@@ -58,6 +53,12 @@ class TangentVector:
         total = float(self.components.sum())
         if not math.isfinite(total) or abs(total) > SUM_TOL:
             raise ValueError(f"tangent components must sum to 0, got {total!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """The rule for step parameters (step sizes, inverse temperatures)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite float")
 
 
 def simplex_point(values) -> np.ndarray:
@@ -170,14 +171,14 @@ def christoffel_drift(
         floor: positivity floor below which the 1/x_j sums are untrusted.
 
     Raises:
-        DegeneratePointError: any coordinate below ``floor``.
-        ValueError: nonpositive ``eps`` or ``beta``.
+        ValueError: ``eps`` or ``beta`` not a positive finite float, or any
+            coordinate below ``floor``.
     """
     x = np.asarray(x, dtype=float)
-    if eps <= 0.0 or beta <= 0.0:
-        raise ValueError("eps and beta must be positive")
+    _require_positive("eps", eps)
+    _require_positive("beta", beta)
     if x.min() < floor:
-        raise DegeneratePointError(
+        raise ValueError(
             f"coordinate {x.min():.3e} below floor {floor:.3e}"
         )
     n = x.shape[-1]

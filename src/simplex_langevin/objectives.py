@@ -19,6 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import _require_positive
+
 __all__ = [
     "Objective",
     "PortfolioLoss",
@@ -408,8 +410,7 @@ def finite_difference_gradient(fun, point, step: float = 1e-6) -> np.ndarray:
     """
     f = (lambda p: fun.value_and_grad(p)[0]) if isinstance(fun, Objective) else fun
     x = np.asarray(point, dtype=float)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _require_positive("step", step)
     grad = np.empty(x.size)
     for i in range(x.size):
         hi = x.copy()

@@ -18,7 +18,7 @@ for a given constant bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -28,6 +28,7 @@ from .geometry import (
     DEFAULT_FLOOR,
     SUM_TOL,
     _pin_floor,
+    _require_positive,
     christoffel_drift,
     euclidean_simplex_projection,
     exp_map,
@@ -43,7 +44,6 @@ __all__ = [
     "LmwuConfig",
     "TheoryBudget",
     "StepResult",
-    "StepSizeError",
     "StepFailureError",
     "Trajectory",
     "ChainEnds",
@@ -66,22 +66,15 @@ class Method(str, Enum):
     PROJECTED_LANGEVIN = "proj-langevin"
 
 
-class StepSizeError(ValueError):
-    """The step size made a multiplicative update factor nonpositive."""
-
-
 class StepFailureError(RuntimeError):
-    """A stochastic step could not produce a valid point.
+    """A step could not produce a point on the simplex.
 
-    ``iteration`` and ``block`` are filled in by the caller that knows them
-    (run loop / block layout); both may be None.
+    The run loop that ran the step sets ``iteration``, and the walk over a
+    product of simplices sets ``block``; each stays None otherwise.
     """
 
-    def __init__(self, message: str, iteration: int | None = None,
-                 block: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.block = block
+    iteration: int | None = None
+    block: int | None = None
 
     def __str__(self) -> str:
         where = []
@@ -109,10 +102,8 @@ class LmwuConfig:
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError("eps must be a positive finite float")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be a positive finite float")
+        _require_positive("eps", self.eps)
+        _require_positive("beta", self.beta)
         if (isinstance(self.max_iters, bool)
                 or not isinstance(self.max_iters, (int, np.integer))):
             raise ValueError("max_iters must be an integer")
@@ -202,16 +193,18 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
     near a vertex.
 
     Raises:
-        StepSizeError: some multiplier 1 − ε g_i is nonpositive, i.e. ``eps``
-            is too large for this gradient.
+        ValueError: ``eps`` is not a positive finite float.
+        StepFailureError: some multiplier 1 − ε g_i is nonpositive, i.e.
+            ``eps`` is too large for this gradient.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if x.shape != grad.shape:
         raise ValueError("point and gradient must have the same shape")
+    _require_positive("eps", eps)
     mult = 1.0 - eps * grad
     if mult.min() <= 0.0:
-        raise StepSizeError(
+        raise StepFailureError(
             f"eps={eps!r} makes a multiplier nonpositive (min {mult.min():.3e})"
         )
     numer = x * mult
@@ -294,8 +287,8 @@ def projected_langevin_step(
     grad = np.asarray(grad, dtype=float)
     if x.shape != grad.shape:
         raise ValueError("point and gradient must have the same shape")
-    if eps <= 0.0 or beta <= 0.0:
-        raise ValueError("eps and beta must be positive")
+    _require_positive("eps", eps)
+    _require_positive("beta", beta)
     y = x - eps * grad + math.sqrt(2.0 * eps / beta) * rng.standard_normal(x.size)
     return lift_to_interior(euclidean_simplex_projection(y), floor=floor)
 
@@ -307,7 +300,8 @@ def projected_langevin_step(
 class _BlockLayout:
     """One slice per simplex block of ``block_dims``. Every walk over the
     blocks goes through this class: init validation, the per-block RNG
-    streams, and the blockwise step with its failure tags and simplex check.
+    streams, and the blockwise step with its simplex check; over several
+    blocks a failure names its block.
     """
 
     def __init__(self, block_dims: Sequence[int]):
@@ -337,26 +331,21 @@ class _BlockLayout:
         block b. A single block gets the step's own result, with no copy."""
         if len(self.slices) == 1:
             res = step_fn(x, grad, cfg, rngs[0])
-            self._check(res.point, 0)
+            _check_on_simplex(res.point)
             return res
         out = np.empty_like(x)
         clamped = resampled = False
         for b, (s, rng) in enumerate(zip(self.slices, rngs)):
             try:
                 point, cl, rs = step_fn(x[s], grad[s], cfg, rng)
+                _check_on_simplex(point)
             except StepFailureError as exc:
                 exc.block = b
                 raise
-            self._check(point, b)
             out[s] = point
             clamped |= cl
             resampled |= rs
         return StepResult(out, clamped, resampled)
-
-    @staticmethod
-    def _check(block: np.ndarray, b: int) -> None:
-        if _left_simplex(block):
-            raise _off_simplex_error(block, b)
 
 
 def _left_simplex(points: np.ndarray):
@@ -366,11 +355,16 @@ def _left_simplex(points: np.ndarray):
              & (points.min(axis=-1) > 0.0))
 
 
-def _off_simplex_error(block: np.ndarray, b: int) -> StepFailureError:
+def _off_simplex_error(point: np.ndarray) -> StepFailureError:
     return StepFailureError(
-        f"iterate left the simplex (block sum {block.sum()!r}, "
-        f"min coord {block.min()!r})", block=b,
+        f"iterate left the simplex (block sum {float(point.sum())!r}, "
+        f"min coord {float(point.min())!r})"
     )
+
+
+def _check_on_simplex(point: np.ndarray) -> None:
+    if _left_simplex(point):
+        raise _off_simplex_error(point)
 
 
 # the per-block step (x, grad, cfg, rng) -> StepResult of each method
@@ -423,9 +417,8 @@ def run_optimizer(
     substream per simplex block from ``cfg.seed``.
 
     Raises:
-        StepFailureError: a stochastic step degenerated; carries the
-            iteration index (and block, for multi-block objectives).
-        StepSizeError: a linear MWU multiplier went nonpositive.
+        StepFailureError: a step could not produce a point; carries the
+            iteration index (and the block, over a product of simplices).
     """
     step = _BLOCK_STEPS[Method(method)]
     x, layout = _initial_point(objective, init, cfg.floor)
@@ -443,8 +436,7 @@ def run_optimizer(
         try:
             x, clamped[k], resampled[k] = layout.step(step, x, grad, cfg, rngs)
         except StepFailureError as exc:
-            if exc.iteration is None:
-                exc.iteration = k
+            exc.iteration = k
             raise
         points[k] = x
         f_values[k], grad = objective.value_and_grad(x)
@@ -518,7 +510,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     off = np.flatnonzero(_left_simplex(points))
     if off.size:
         k = int(off[0])
-        return points[:k], (k, _off_simplex_error(points[k], 0))
+        return points[:k], (k, _off_simplex_error(points[k]))
     return points, failure
 
 
@@ -530,8 +522,8 @@ def _rowwise(step):
         for k in range(len(x)):
             try:
                 out[k] = step(x[k], grad[k], cfg, normals.rngs[k]).point
-                _BlockLayout._check(out[k], 0)
-            except (StepFailureError, StepSizeError) as exc:
+                _check_on_simplex(out[k])
+            except StepFailureError as exc:
                 return out[:k], (k, exc)
         return out, None
 
@@ -563,16 +555,18 @@ def run_chains(
     kept; seeds run in slices of a fixed width.
 
     Raises:
-        ValueError: an objective of several simplex blocks, no seeds, or a
-            bad init.
-        StepFailureError, StepSizeError: the error of the lowest-index chain
-            that fails, as ``run_optimizer`` raises it for that seed.
+        ValueError: an objective of several simplex blocks, no seeds, a
+            seed that is not a non-negative integer, or a bad init.
+        StepFailureError: the error of the lowest-index chain that fails,
+            as ``run_optimizer`` raises it for that seed.
     """
     step = _ROW_STEPS[Method(method)]
     if len(objective.block_dims) != 1:
         raise ValueError("run_chains takes single-simplex objectives only")
     x, layout = _initial_point(objective, init, cfg.floor)
-    seeds = list(seeds)
+    # each seed passes through the config its run_optimizer twin gets, so
+    # the seed rule holds here too
+    seeds = [replace(cfg, seed=s).seed for s in seeds]
     if not seeds:
         raise ValueError("run_chains needs at least one seed")
     ends = [
@@ -597,8 +591,7 @@ def _run_slice(step, objective: Objective, init: np.ndarray, cfg: LmwuConfig,
         new, failed = step(x[:m], grad[:m], cfg, normals)
         if failed is not None:
             m, failure = failed
-            if isinstance(failure, StepFailureError) and failure.iteration is None:
-                failure.iteration = k
+            failure.iteration = k
             if m == 0:
                 break
         x[:m] = new
@@ -625,8 +618,7 @@ def theoretical_step_bound(tb: TheoryBudget) -> float:
 def theoretical_iteration_budget(tb: TheoryBudget, eps: float) -> int:
     """Iterations the guarantee requires at step size ``eps``:
     ⌈(16/3ε)·ln(16(Mσ/2 + B)² / (δ²α))⌉, clamped below at 1."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _require_positive("eps", eps)
     arg = 16.0 * (0.5 * tb.M * tb.sigma + tb.B) ** 2 / (tb.delta ** 2 * tb.alpha)
     if arg <= 0.0:
         raise ValueError("budget log argument must be positive")

@@ -28,13 +28,7 @@ import numpy as np
 from .geometry import barycenter, lift_to_interior
 from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
 from .objectives import _check_lambdas
-from .optimizers import (
-    LmwuConfig,
-    Method,
-    StepFailureError,
-    StepSizeError,
-    run_optimizer,
-)
+from .optimizers import LmwuConfig, Method, StepFailureError, run_optimizer
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -327,7 +321,7 @@ def rolling_window_evaluate(
                 method, objective, lift_to_interior(w_init, floor=cfg.floor),
                 fit_cfg,
             )
-        except (StepFailureError, StepSizeError) as exc:
+        except StepFailureError as exc:
             raise PortfolioFitError(
                 f"{method.value} fit failed for period {window + j + 1}: {exc}",
                 period=window + j + 1,

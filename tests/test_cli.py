@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, CSV outputs, precedence."""
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +20,8 @@ RETURNS_CSV = """date,a,b
 2021-01-06,0.02,0.002
 """
 
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # stands for the path of the ``returns_file`` fixture in parametrized argv
 RETURNS = "<returns>"
@@ -225,6 +228,32 @@ class TestExitCodes:
             "--eps", "10.0", "--iters", "10", "--out", str(tmp_path),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["optimize", "--objective", "f1", "--method", "linear-mwu",
+          "--eps", "5", "--iters", "100"],
+         "error: step failure: eps=5.0 makes a multiplier nonpositive "
+         "(min -7.321e+00) (iteration 1)\n"),
+        (["optimize", "--objective", "f1", "--method", "exp-mwu",
+          "--eps", "1e5", "--iters", "100"],
+         "error: step failure: iterate left the simplex "
+         "(block sum 1.0, min coord 0.0) (iteration 1)\n"),
+        (["portfolio", "--returns", "../panel.csv", "--preset", "mv",
+          "--method", "linear-mwu", "--eps", "1000", "--window", "250"],
+         "linear-mwu mv: failed: linear-mwu fit failed for period 251: "
+         "eps=1000.0 makes a multiplier nonpositive (min -4.171e+00) "
+         "(iteration 1)\n"),
+    ], ids=["linear-mwu", "exp-mwu", "portfolio"])
+    def test_oversized_step_messages(self, argv, stderr, tmp_path,
+                                     monkeypatch, capsys):
+        # the byte battery's step-failure invocations, on the benchmark panel
+        monkeypatch.syspath_prepend(REPO)
+        workloads = importlib.import_module("perfbench.workloads")
+        workloads.write_panel(str(tmp_path / "panel.csv"), seed=1)
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == stderr
 
     def test_returns_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

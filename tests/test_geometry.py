@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from simplex_langevin.geometry import (
     DEFAULT_FLOOR,
-    DegeneratePointError,
     RetractionFailureError,
     TangentVector,
     barycenter,
@@ -152,7 +151,7 @@ class TestChristoffelDrift:
             assert_allclose(got, unsimplified_drift(x, 0.1, 1.0), rtol=0, atol=1e-12)
 
     def test_degenerate_point_rejected(self):
-        with pytest.raises(DegeneratePointError):
+        with pytest.raises(ValueError, match="below floor"):
             christoffel_drift(np.array([1.0 - 1e-14, 1e-14]), 0.1, 1.0)
 
     def test_bad_parameters_rejected(self):
@@ -161,6 +160,19 @@ class TestChristoffelDrift:
             christoffel_drift(x, -0.1, 1.0)
         with pytest.raises(ValueError):
             christoffel_drift(x, 0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name", ["eps", "beta"])
+    @pytest.mark.parametrize("fn", [
+        christoffel_drift,
+        lambda x, eps, beta: sample_noise(x, eps, beta, np.random.default_rng(0)),
+    ], ids=["drift", "sample_noise"])
+    def test_step_parameters_must_be_positive_finite(self, fn, name, bad):
+        params = {"eps": 0.1, "beta": 1.0, name: bad}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a positive finite float$"):
+            fn(np.array([0.5, 0.5]), **params)
 
 
 class TestSampleNoise:

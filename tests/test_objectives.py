@@ -467,3 +467,10 @@ class TestFiniteDifferenceGradient:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda x: 0.0, np.ones(2), step=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0],
+                             ids=["nan", "inf", "0", "-1"])
+    def test_step_must_be_positive_finite(self, bad):
+        with pytest.raises(ValueError,
+                           match="^step must be a positive finite float$"):
+            finite_difference_gradient(lambda x: 0.0, np.ones(2), step=bad)

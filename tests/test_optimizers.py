@@ -14,7 +14,6 @@ from simplex_langevin.optimizers import (
     LmwuConfig,
     Method,
     StepFailureError,
-    StepSizeError,
     TheoryBudget,
     lmwu_step,
     mwu_linear_step,
@@ -51,7 +50,7 @@ class TestLinearMwuStep:
         assert_allclose(y, [4.0 / 9.0, 5.0 / 9.0], rtol=1e-15)
 
     def test_oversized_step_rejected(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepFailureError, match="makes a multiplier nonpositive"):
             mwu_linear_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 2.0)
 
     def test_uniform_gradient_is_fixed_point(self):
@@ -293,7 +292,7 @@ class TestRunOptimizer:
     def test_step_size_error_propagates(self):
         obj = linear_objective([5.0, -5.0])
         cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepFailureError, match="makes a multiplier nonpositive"):
             run_optimizer("linear-mwu", obj, [0.5, 0.5], cfg)
 
     def test_init_validation(self):
@@ -402,6 +401,23 @@ class TestMultiBlockRun:
         assert info.value.block == 1
         assert str(info.value).endswith("(iteration 1, block 1)")
 
+    @pytest.mark.parametrize("method, eps, message", [
+        ("linear-mwu", 1.0,
+         "eps=1.0 makes a multiplier nonpositive (min -4.000e+00)"),
+        ("exp-mwu", 1e5, "iterate left the simplex (block sum 1.0, min coord 0.0)"),
+    ], ids=["linear-mwu", "exp-mwu"])
+    def test_deterministic_failure_carries_block(self, method, eps, message):
+        # block 0 has a zero gradient and takes no step; block 1's gradient
+        # is too steep for the step size
+        c = np.array([0.0, 0.0, 5.0, -5.0])
+        obj = Objective(name="two-linear", dim=4, block_dims=(2, 2),
+                        fn=lambda p: (float(p @ c), c.copy()))
+        cfg = LmwuConfig(eps=eps, beta=1.0, max_iters=3)
+        with pytest.raises(StepFailureError) as info:
+            run_optimizer(method, obj, [0.5, 0.5, 0.5, 0.5], cfg)
+        assert (info.value.iteration, info.value.block) == (1, 1)
+        assert str(info.value) == f"{message} (iteration 1, block 1)"
+
 
 def chain_case(name):
     """(objective, init, cfg) of one batched-chain case."""
@@ -475,7 +491,7 @@ class TestRunChains:
     def test_step_size_error_propagates(self):
         obj = linear_objective([5.0, -5.0])
         cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepFailureError, match="makes a multiplier nonpositive"):
             run_chains("linear-mwu", obj, [0.5, 0.5], cfg, [0, 1])
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
@@ -506,6 +522,38 @@ class TestRunChains:
                 run()
             if error is StepFailureError:
                 assert info.value.iteration == 1
+
+    @pytest.mark.parametrize("method, obj, init, cfg, message", [
+        ("linear-mwu", linear_objective([5.0, -5.0]), [0.5, 0.5],
+         LmwuConfig(eps=1.0, beta=1.0, max_iters=3),
+         "eps=1.0 makes a multiplier nonpositive (min -4.000e+00)"),
+        ("exp-mwu", linear_objective([5.0, -5.0]), [0.5, 0.5],
+         LmwuConfig(eps=1e5, beta=1.0, max_iters=3),
+         "iterate left the simplex (block sum 1.0, min coord 0.0)"),
+        ("lmwu", benchmark("f1"), [0.3, 0.6, 0.1],
+         LmwuConfig(eps=0.1, beta=1e-3, max_iters=10),
+         "update denominator"),
+    ], ids=["step-size", "off-simplex", "denominator"])
+    def test_single_simplex_failure_names_only_its_iteration(
+        self, method, obj, init, cfg, message
+    ):
+        for run in (lambda: run_optimizer(method, obj, init, cfg),
+                    lambda: run_chains(method, obj, init, cfg, [0, 1])):
+            with pytest.raises(StepFailureError) as info:
+                run()
+            assert (info.value.iteration, info.value.block) == (1, None)
+            assert str(info.value).startswith(message)
+            assert str(info.value).endswith(" (iteration 1)")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seeds_follow_the_config_seed_rule(self, seed):
+        obj, init, cfg = chain_case("f1")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_chains("lmwu", obj, init, cfg, [0, seed])
+
+    def test_numpy_integer_seed_accepted(self):
+        obj, init, cfg = chain_case("f1")
+        assert_chains_match_runs("lmwu", obj, init, cfg, [np.int64(3)])
 
     def test_rejects_multi_block_objective_and_no_seeds(self):
         cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=3)
@@ -549,3 +597,25 @@ class TestGuaranteeFormulas:
         good = TheoryBudget(M=0.0, B=1.0, sigma=0.0, alpha=1.0, C=1.0, delta=1.0)
         with pytest.raises(ValueError):
             theoretical_iteration_budget(good, 0.0)
+
+
+X2, G2 = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+TB = TheoryBudget(M=0.0, B=1.0, sigma=0.0, alpha=1.0, C=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("name, call", [
+    ("eps", lambda v: LmwuConfig(eps=v, beta=1.0, max_iters=1)),
+    ("beta", lambda v: LmwuConfig(eps=0.1, beta=v, max_iters=1)),
+    ("eps", lambda v: mwu_linear_step(X2, G2, v)),
+    ("eps", lambda v: projected_langevin_step(
+        X2, G2, v, 1.0, np.random.default_rng(0))),
+    ("beta", lambda v: projected_langevin_step(
+        X2, G2, 0.1, v, np.random.default_rng(0))),
+    ("eps", lambda v: theoretical_iteration_budget(TB, v)),
+], ids=["config-eps", "config-beta", "linear-mwu-eps", "proj-langevin-eps",
+        "proj-langevin-beta", "iteration-budget-eps"])
+def test_step_parameters_must_be_positive_finite(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite float$"):
+        call(bad)

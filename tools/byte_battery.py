@@ -87,6 +87,14 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("fail-sweep-f1-beta10", [
         "sweep", "--objective", "f1", "--init", "paper", "--method", "lmwu",
         "--beta", "10.0", "--samples", "64", "--iters", "1500", "--seed", "0"]))
+    # steps too large for the deterministic methods
+    for method, eps in (("linear-mwu", "5"), ("exp-mwu", "1e5")):
+        runs.append((f"fail-optimize-f1-{method}-eps{eps}", [
+            "optimize", "--objective", "f1", "--method", method, "--eps", eps,
+            "--iters", "100"]))
+    runs.append(("fail-portfolio-linear-mwu-eps1000", [
+        "portfolio", "--returns", PANEL, "--preset", "mv",
+        "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
     runs.append(("usage-unknown-objective", ["optimize", "--objective", "f9"]))
     return runs
 
