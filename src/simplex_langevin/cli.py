@@ -30,13 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    RetractionFailureError,
-    barycenter,
-    christoffel_drift,
-    sample_noise,
-    simplex_point,
-)
+from .geometry import barycenter, christoffel_drift, sample_noise, simplex_point
 from .objectives import (
     Objective,
     PortfolioLoss,
@@ -400,7 +394,7 @@ def cmd_portfolio(args) -> int:
     variant = "literal" if args.variant is None else args.variant
     cfg = _resolve_cfg(args, DEFAULT_FIT_CONFIG)
 
-    # a bad window or variant raises ValueError (exit 2) before any fit
+    # a bad window, variant or floor raises ValueError (exit 2) before any fit
     reports, failures = compare_methods(
         panel, presets, methods, cfg, window,
         variant=variant, warm_start=not args.no_warm_start,
@@ -578,7 +572,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.handler(args)
-    except (ReturnsParseError, RetractionFailureError) as exc:
+    except (ReturnsParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except StepFailureError as exc:

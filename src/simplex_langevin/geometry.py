@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RetractionFailureError",
     "TangentVector",
     "simplex_point",
     "barycenter",
@@ -34,10 +33,6 @@ __all__ = [
 
 DEFAULT_FLOOR = 1e-12
 SUM_TOL = 1e-9
-
-
-class RetractionFailureError(RuntimeError):
-    """A raw update could not be renormalized (component sum <= floor)."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:
         free = ~low
         budget = 1.0 - floor * int(low.sum())
         if budget <= 0.0 or not free.any():
-            raise RetractionFailureError(
+            raise ValueError(
                 f"floor {floor:.3e} is too large for dimension {y.size}"
             )
         z = np.where(low, floor, y * (budget / y[free].sum()))
@@ -245,14 +240,13 @@ def normalize_retraction(
     >= ``floor`` and sums to 1 within a few ulp.
 
     Raises:
-        RetractionFailureError: component sum <= ``floor`` (caller should
-            resample whatever noise produced ``raw``), or ``floor`` does not
-            leave room for ``raw.size`` coordinates.
+        ValueError: component sum <= ``floor``, or ``floor`` does not leave
+            room for ``raw.size`` coordinates.
     """
     raw = np.asarray(raw, dtype=float)
     total = float(raw.sum())
     if not total > floor:
-        raise RetractionFailureError(
+        raise ValueError(
             f"component sum {total!r} not above floor {floor:.3e}"
         )
     y = raw / total
@@ -288,7 +282,8 @@ def lift_to_interior(x: np.ndarray, *, floor: float = DEFAULT_FLOOR) -> np.ndarr
 
     Turns a closed-simplex point (e.g. a projection output) into a strictly
     interior one; every output coordinate is >= ``floor``. Points already at
-    or above the floor are returned unchanged.
+    or above the floor are returned unchanged. A ``floor`` that leaves no
+    room for ``x.size`` coordinates raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if x.min() >= floor:

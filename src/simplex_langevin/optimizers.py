@@ -69,15 +69,19 @@ class Method(str, Enum):
 class StepFailureError(RuntimeError):
     """A step could not produce a point on the simplex.
 
-    The run loop that ran the step sets ``iteration``, and the walk over a
-    product of simplices sets ``block``; each stays None otherwise.
+    The rolling-window loop that ran the fit sets ``period``, the run loop
+    that ran the step sets ``iteration``, and the walk over a product of
+    simplices sets ``block``; each stays None otherwise.
     """
 
+    period: int | None = None
     iteration: int | None = None
     block: int | None = None
 
     def __str__(self) -> str:
         where = []
+        if self.period is not None:
+            where.append(f"period {self.period}")
         if self.iteration is not None:
             where.append(f"iteration {self.iteration}")
         if self.block is not None:
@@ -205,7 +209,7 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
     mult = 1.0 - eps * grad
     if mult.min() <= 0.0:
         raise StepFailureError(
-            f"eps={eps!r} makes a multiplier nonpositive (min {mult.min():.3e})"
+            f"eps={float(eps)!r} makes a multiplier nonpositive (min {mult.min():.3e})"
         )
     numer = x * mult
     return numer / numer.sum()
@@ -281,7 +285,8 @@ def projected_langevin_step(
 
     y = x − ε·grad + √(2εβ⁻¹)·z with IID standard normal z; the projection
     output has its zeros lifted to ``floor`` so metric operations stay
-    defined downstream.
+    defined downstream. A proposal y that is not finite raises
+    :class:`StepFailureError`.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -290,6 +295,8 @@ def projected_langevin_step(
     _require_positive("eps", eps)
     _require_positive("beta", beta)
     y = x - eps * grad + math.sqrt(2.0 * eps / beta) * rng.standard_normal(x.size)
+    if not np.isfinite(y).all():
+        raise StepFailureError("Langevin proposal is not finite")
     return lift_to_interior(euclidean_simplex_projection(y), floor=floor)
 
 

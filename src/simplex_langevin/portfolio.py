@@ -39,7 +39,6 @@ __all__ = [
     "ReturnsParseError",
     "RiskPreset",
     "EvaluationReport",
-    "PortfolioFitError",
     "load_returns",
     "rolling_window_evaluate",
     "compare_methods",
@@ -65,14 +64,6 @@ class ReturnsParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class PortfolioFitError(RuntimeError):
-    """A window fit failed; ``period`` is the 1-based panel row being scored."""
-
-    def __init__(self, message: str, period: int):
-        super().__init__(message)
-        self.period = period
 
 
 @dataclass(frozen=True)
@@ -173,17 +164,24 @@ def load_returns(source: str | os.PathLike | IO) -> ReturnPanel:
     file order.
 
     Raises:
-        ReturnsParseError: empty input, malformed header, wrong cell count,
-            non-numeric cell, non-finite or <= -1 return, or duplicate date;
-            the message names the 1-based line.
+        OSError: the path cannot be read.
+        ReturnsParseError: bytes that are not UTF-8, empty input, malformed
+            header, wrong cell count, non-numeric cell, non-finite or <= -1
+            return, or duplicate date; the message names the 1-based line.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_returns(fh)
-    data = source.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
+    else:
+        data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return _parse_returns(io.StringIO(data))
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ReturnsParseError(
+                "not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1
+            ) from None
+    return _parse_returns(io.StringIO(data, newline=""))
 
 
 def _parse_returns(fh: Iterable[str]) -> ReturnPanel:
@@ -290,10 +288,10 @@ def rolling_window_evaluate(
             (lifted to the floor) instead of the uniform portfolio.
 
     Raises:
-        ValueError: window out of range (needs 2 <= window < T) or unknown
-            variant.
-        PortfolioFitError: an optimizer step failed; carries the scored
-            period index.
+        ValueError: window out of range (needs 2 <= window < T), unknown
+            variant, or ``cfg.floor`` too large for the panel's dimension.
+        StepFailureError: an optimizer step failed; its ``period`` is the
+            1-based panel row being scored.
     """
     method = Method(method)
     if variant not in VARIANTS:
@@ -322,10 +320,8 @@ def rolling_window_evaluate(
                 fit_cfg,
             )
         except StepFailureError as exc:
-            raise PortfolioFitError(
-                f"{method.value} fit failed for period {window + j + 1}: {exc}",
-                period=window + j + 1,
-            ) from exc
+            exc.period = window + j + 1
+            raise
         w_hat = traj.final_point
         losses[j] = _out_of_sample_loss(
             loss_window, w_hat, panel.returns[window + j], variant
@@ -354,21 +350,22 @@ def compare_methods(
     variant: str = "literal",
     warm_start: bool = True,
 ) -> tuple[dict[tuple[str, str], EvaluationReport],
-           dict[tuple[str, str], PortfolioFitError]]:
+           dict[tuple[str, str], StepFailureError]]:
     """Evaluate every method x preset cell; returns ``(reports, failures)``,
     both keyed by ``(method value, preset name)``.
 
     Cells are independent: each gets a seed derived from ``cfg.seed``, the
     method and the preset name, so its report does not depend on which
     other cells are in the grid; a cell whose fit fails is recorded in
-    ``failures`` instead of aborting the rest of the grid.
+    ``failures`` (its ``StepFailureError``, located by period) instead of
+    aborting the rest of the grid.
 
     Raises:
-        ValueError: window out of range or unknown variant, from the first
-            cell, before any fit.
+        ValueError: window out of range, unknown variant or floor too large,
+            from the first cell, before any fit.
     """
     reports: dict[tuple[str, str], EvaluationReport] = {}
-    failures: dict[tuple[str, str], PortfolioFitError] = {}
+    failures: dict[tuple[str, str], StepFailureError] = {}
     for method in map(Method, methods):
         for preset in presets:
             key = (method.value, preset.name)
@@ -382,6 +379,6 @@ def compare_methods(
                     panel, preset, method, cell_cfg, window,
                     variant=variant, warm_start=warm_start,
                 )
-            except PortfolioFitError as exc:
+            except StepFailureError as exc:
                 failures[key] = exc
     return reports, failures

@@ -65,6 +65,18 @@ def returns_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture()
+def bench_run_dir(tmp_path, monkeypatch):
+    """An empty working directory next to the benchmark's panel
+    (``../panel.csv``), as the byte battery runs its invocations."""
+    monkeypatch.syspath_prepend(REPO)
+    workloads = importlib.import_module("perfbench.workloads")
+    workloads.write_panel(str(tmp_path / "panel.csv"), seed=1)
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    return tmp_path / "run"
+
+
 class TestOptimize:
     def test_writes_trajectory(self, tmp_path, capsys):
         code = main([
@@ -240,20 +252,47 @@ class TestExitCodes:
          "(block sum 1.0, min coord 0.0) (iteration 1)\n"),
         (["portfolio", "--returns", "../panel.csv", "--preset", "mv",
           "--method", "linear-mwu", "--eps", "1000", "--window", "250"],
-         "linear-mwu mv: failed: linear-mwu fit failed for period 251: "
-         "eps=1000.0 makes a multiplier nonpositive (min -4.171e+00) "
-         "(iteration 1)\n"),
+         "linear-mwu mv: failed: eps=1000.0 makes a multiplier nonpositive "
+         "(min -4.171e+00) (period 251, iteration 1)\n"),
     ], ids=["linear-mwu", "exp-mwu", "portfolio"])
-    def test_oversized_step_messages(self, argv, stderr, tmp_path,
-                                     monkeypatch, capsys):
+    def test_oversized_step_messages(self, argv, stderr, bench_run_dir, capsys):
         # the byte battery's step-failure invocations, on the benchmark panel
-        monkeypatch.syspath_prepend(REPO)
-        workloads = importlib.import_module("perfbench.workloads")
-        workloads.write_panel(str(tmp_path / "panel.csv"), seed=1)
-        (tmp_path / "run").mkdir()
-        monkeypatch.chdir(tmp_path / "run")
         assert main(argv) == 1
         assert capsys.readouterr().err == stderr
+
+    def test_portfolio_floor_too_large_is_a_usage_error(self, bench_run_dir,
+                                                        capsys):
+        # rejected by the first window's lift, before any fit or output
+        code = main(["portfolio", "--returns", "../panel.csv", "--preset", "mv",
+                     "--method", "lmwu", "--floor", "0.2", "--window", "250",
+                     "--out", "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: floor 2.000e-01 is too large for dimension 10\n"
+        )
+        assert not (bench_run_dir / "out").exists()
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["optimize", "--returns", "nope.csv"],
+         "error: [Errno 2] No such file or directory: 'nope.csv'\n"),
+        (["portfolio", "--returns", "."],
+         "error: [Errno 21] Is a directory: '.'\n"),
+        (["optimize", "--objective", "f1", "--iters", "3", "--out", "afile"],
+         "error: [Errno 17] File exists: 'afile'\n"),
+    ], ids=["missing-returns", "directory-returns", "out-is-a-file"])
+    def test_file_errors_print_one_line(self, argv, stderr, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == stderr
+
+    def test_non_utf8_returns_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("date,a\nd1,0.01\nd\xe9,0.02\n".encode("latin-1"))
+        code = main(["optimize", "--returns", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
     def test_returns_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

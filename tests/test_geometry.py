@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from simplex_langevin.geometry import (
     DEFAULT_FLOOR,
-    RetractionFailureError,
     TangentVector,
     barycenter,
     christoffel_drift,
@@ -218,11 +217,11 @@ class TestNormalizeRetraction:
             assert point.min() >= 1e-6
 
     def test_degenerate_sum_raises(self):
-        with pytest.raises(RetractionFailureError):
+        with pytest.raises(ValueError, match="not above floor"):
             normalize_retraction(np.array([0.5, -0.5]))
 
     def test_floor_too_large_for_dimension(self):
-        with pytest.raises(RetractionFailureError):
+        with pytest.raises(ValueError, match="too large for dimension 4"):
             normalize_retraction(np.array([1e-9, 1e-9, 1.0, 1e-9]), floor=0.4)
 
 

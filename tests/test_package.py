@@ -15,8 +15,15 @@ def test_module_names_are_the_package_names():
 
 
 def test_returned_and_raised_types_are_exported():
-    # returned by run_chains and lmwu_step, raised by
+    # returned by run_chains and lmwu_step, raised by the run loops and
     # rolling_window_evaluate, and the accepted values of ``variant``
     from simplex_langevin import (  # noqa: F401
-        VARIANTS, ChainEnds, PortfolioFitError, StepResult,
+        VARIANTS, ChainEnds, StepFailureError, StepResult,
     )
+
+
+def test_removed_exception_types_are_gone():
+    # a bad argument is a ValueError and a failed step a StepFailureError
+    for module in (simplex_langevin, *MODULES):
+        for name in ("RetractionFailureError", "PortfolioFitError"):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from simplex_langevin.optimizers import LmwuConfig, Method
+from simplex_langevin.optimizers import LmwuConfig, Method, StepFailureError
 from simplex_langevin.portfolio import (
     DEFAULT_FIT_CONFIG,
     RISK_PRESETS,
-    PortfolioFitError,
     ReturnPanel,
     ReturnsParseError,
     RiskPreset,
@@ -81,6 +80,15 @@ class TestLoadReturns:
             panel = load_returns(source)
             assert panel.asset_names == ("alpha", "beta")
             assert panel.n_periods == 3
+
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(GOOD_CSV.replace("2021-01-02", "caf\xe9").encode("latin-1"))
+        for source in (p, io.BytesIO(p.read_bytes())):
+            with pytest.raises(ReturnsParseError,
+                               match="^line 3: not UTF-8 text$") as info:
+                load_returns(source)
+            assert info.value.line == 3
 
     def test_blank_lines_skipped(self):
         panel = panel_from(
@@ -262,9 +270,10 @@ class TestRollingWindow:
     def test_fit_failure_carries_period(self):
         panel = wiggly_panel(6, 2, seed=1)
         bad = LmwuConfig(eps=0.1, beta=1e-3, max_iters=5, seed=0)
-        with pytest.raises(PortfolioFitError) as info:
+        with pytest.raises(StepFailureError) as info:
             rolling_window_evaluate(panel, MEAN_ONLY, "lmwu", bad, window=3)
-        assert info.value.period == 4
+        assert (info.value.period, info.value.iteration) == (4, 1)
+        assert str(info.value).endswith("(period 4, iteration 1)")
 
 
 class TestVariants:
@@ -330,7 +339,7 @@ class TestCompareMethods:
         )
         assert list(reports) == [("linear-mwu", "mean-only")]
         assert list(failures) == [("lmwu", "mean-only")]
-        assert isinstance(failures[("lmwu", "mean-only")], PortfolioFitError)
+        assert isinstance(failures[("lmwu", "mean-only")], StepFailureError)
 
     @pytest.mark.parametrize("window, variant", [(8, "literal"), (4, "bogus")])
     def test_bad_window_or_variant_raises_before_any_fit(

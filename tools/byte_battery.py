@@ -96,6 +96,11 @@ def invocations() -> list[tuple[str, list[str]]]:
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
     runs.append(("usage-unknown-objective", ["optimize", "--objective", "f9"]))
+    runs.append(("usage-portfolio-floor0.2", [
+        "portfolio", "--returns", PANEL, "--preset", "mv", "--method", "lmwu",
+        "--floor", "0.2", *PANEL_WINDOW]))
+    runs.append(("fail-optimize-missing-returns", [
+        "optimize", "--returns", os.path.join("..", "missing.csv")]))
     return runs
 
 
