@@ -30,11 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import barycenter, christoffel_drift, sample_noise, simplex_point
+from .geometry import _simplex_point, barycenter, christoffel_drift, sample_noise
 from .objectives import (
     Objective,
     PortfolioLoss,
-    TEST_FUNCTION_IDS,
     portfolio_objective,
     test_function,
 )
@@ -201,14 +200,6 @@ def _run_cfg(args, preset: ExperimentPreset | None, method: Method) -> LmwuConfi
     )
 
 
-def _parse_method(text: str) -> Method:
-    try:
-        return Method(text)
-    except ValueError:
-        valid = ", ".join(m.value for m in Method)
-        raise ValueError(f"unknown method {text!r} (expected one of {valid})")
-
-
 def _reject_repeats(flag: str, names: list[str]) -> None:
     """A name given twice would run and write the same cells twice."""
     repeated = sorted({n for n in names if names.count(n) > 1})
@@ -219,7 +210,7 @@ def _reject_repeats(flag: str, names: list[str]) -> None:
 def _parse_method_list(text: str | None, default: tuple[Method, ...]):
     if text is None:
         return default
-    methods = tuple(_parse_method(t.strip()) for t in text.split(",") if t.strip())
+    methods = tuple(Method(t.strip()) for t in text.split(",") if t.strip())
     if not methods:
         raise ValueError("empty method list")
     _reject_repeats("--method", [m.value for m in methods])
@@ -254,16 +245,6 @@ def _parse_init(
     return np.array(values, dtype=float)
 
 
-def _objective_id(text: str | None) -> str | None:
-    """The ``--objective`` id, checked against the bundled ids, or None."""
-    if text is not None and text not in TEST_FUNCTION_IDS:
-        raise ValueError(
-            f"unknown objective {text!r} "
-            f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
-        )
-    return text
-
-
 def _risk_presets(text: str | None, *, single: bool) -> list[RiskPreset]:
     """The ``--preset`` risk presets (default ``equal``): exactly one name
     when ``single``, otherwise a comma list of names or ``all``."""
@@ -285,15 +266,15 @@ def _risk_presets(text: str | None, *, single: bool) -> list[RiskPreset]:
 def _resolve_objective(args):
     """Returns (objective, preset, init). The preset supplies the run
     defaults; it is None for a ``--returns`` objective."""
-    objective_id = _objective_id(args.objective)
-    if (objective_id is None) == (args.returns is None):
+    # an unknown id is reported before a missing or doubled source
+    objective = None if args.objective is None else test_function(args.objective)
+    if (objective is None) == (args.returns is None):
         raise ValueError("exactly one of --objective or --returns is required")
-    if objective_id is not None:
+    if objective is not None:
         if args.preset is not None:
             raise ValueError("--preset needs --returns, not --objective")
-        objective = test_function(objective_id)
         paper = args.init == "paper"
-        preset = PAPER_PRESETS[objective_id] if paper else GENERIC_PRESET
+        preset = PAPER_PRESETS[objective.name] if paper else GENERIC_PRESET
     else:
         panel = load_returns(args.returns)
         (risk,) = _risk_presets(args.preset, single=True)
@@ -330,7 +311,7 @@ def _print_final(traj) -> None:
 
 def cmd_optimize(args) -> int:
     objective, preset, init = _resolve_objective(args)
-    method = Method.LMWU if args.method is None else _parse_method(args.method)
+    method = Method.LMWU if args.method is None else Method(args.method)
     cfg = _run_cfg(args, preset, method)
     traj = run_optimizer(method, objective, init, cfg)
     out = _out_dir(args)
@@ -367,7 +348,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     objective, preset, init = _resolve_objective(args)
-    method = Method.LMWU if args.method is None else _parse_method(args.method)
+    method = Method.LMWU if args.method is None else Method(args.method)
     count = 20 if args.samples is None else args.samples
     if count < 1:
         raise ValueError("--samples must be >= 1 for sweep")
@@ -434,25 +415,16 @@ def cmd_portfolio(args) -> int:
 def cmd_noise_check(args) -> int:
     # draws at one point: of the run config it reads eps, beta, floor, seed
     cfg = _resolve_cfg(args, LmwuConfig(eps=0.1, beta=1.0, max_iters=0))
-    objective_id = _objective_id(args.objective)
-    if objective_id is not None:
-        point = _parse_init(
-            args.init, test_function(objective_id), PAPER_PRESETS[objective_id]
-        )
+    if args.objective is not None:
+        objective = test_function(args.objective)
+        point = _parse_init(args.init, objective, PAPER_PRESETS[objective.name])
     elif args.init in ("uniform", "paper"):
         raise ValueError(f"--init {args.init} needs --objective")
     elif args.init is not None:
         point = _parse_init(args.init, None, None)
     else:
         point = barycenter(2)
-    try:
-        point = simplex_point(point)
-    except ValueError as exc:
-        raise ValueError(f"noise-check point: {exc}") from exc
-    if point.min() < cfg.floor:
-        raise ValueError(
-            f"noise-check point has a coordinate below floor {cfg.floor:.3e}"
-        )
+    point = _simplex_point(point, cfg.floor)
     n_samples = 100_000 if args.samples is None else args.samples
     if n_samples < 10_000:
         raise ValueError("--samples must be >= 10000 for a meaningful check")

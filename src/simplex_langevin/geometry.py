@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "TangentVector",
-    "simplex_point",
     "barycenter",
     "shahshahani_gradient",
     "exp_map",
@@ -56,25 +55,38 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite float")
 
 
-def simplex_point(values) -> np.ndarray:
-    """Validate ``values`` as a strictly positive probability vector and
-    return it as a fresh float64 array.
+def _no_room(floor: float, n: int) -> ValueError:
+    return ValueError(f"floor {floor:.3e} is too large for dimension {n}")
+
+
+def _left_simplex(points: np.ndarray):
+    """Whether a point (or each row of a stack) fails the simplex rule: a sum
+    within ``SUM_TOL`` of 1 and every coordinate > 0. NaN and inf fail it."""
+    return ~((np.abs(points.sum(axis=-1) - 1.0) <= SUM_TOL)
+             & (points.min(axis=-1) > 0.0))
+
+
+def _simplex_point(values, floor: float) -> np.ndarray:
+    """``values`` as a fresh float64 vector on the simplex with every
+    coordinate >= ``floor``: the rule for a run's starting point.
 
     Raises:
-        ValueError: non-1-D input, nonfinite entries, any coordinate <= 0,
-            or the sum off 1 by more than ``SUM_TOL`` (1e-9).
+        ValueError: non-1-D input, ``floor`` too large for the dimension, a
+            coordinate not finite or below ``floor``, or the sum off 1 by
+            more than ``SUM_TOL``.
     """
     x = np.array(values, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("a simplex point must be a nonempty 1-D vector")
-    if not np.isfinite(x).all():
-        raise ValueError("simplex coordinates must be finite")
-    if not (x > 0.0).all():
-        raise ValueError("simplex coordinates must be strictly positive")
-    total = float(x.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"coordinates must sum to 1 within {SUM_TOL}, got {total!r}")
-    return x
+    if floor * x.size > 1.0:
+        raise _no_room(floor, x.size)
+    if not np.isfinite(x).all() or x.min() < floor:
+        rule = f"be finite and >= floor {floor:.3e}"
+    elif _left_simplex(x):
+        rule = f"sum to 1 within {SUM_TOL}, got {float(x.sum())!r}"
+    else:
+        return x
+    raise ValueError(f"init coordinates must {rule}")
 
 
 def barycenter(n: int) -> np.ndarray:
@@ -219,9 +231,7 @@ def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:
         free = ~low
         budget = 1.0 - floor * int(low.sum())
         if budget <= 0.0 or not free.any():
-            raise ValueError(
-                f"floor {floor:.3e} is too large for dimension {y.size}"
-            )
+            raise _no_room(floor, y.size)
         z = np.where(low, floor, y * (budget / y[free].sum()))
         grown = (z < floor) & free
         if not grown.any():

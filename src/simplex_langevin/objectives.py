@@ -269,7 +269,8 @@ def test_function(fid: str) -> Objective:
         fn, dim = _TEST_FUNCTIONS[fid]
     except KeyError:
         raise ValueError(
-            f"unknown test function {fid!r}; expected one of {TEST_FUNCTION_IDS}"
+            f"unknown objective {fid!r} "
+            f"(expected one of {', '.join(TEST_FUNCTION_IDS)})"
         ) from None
     opt = np.array(_CERTIFIED_OPTIMA[fid], dtype=float)
     return Objective(

@@ -26,9 +26,10 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_FLOOR,
-    SUM_TOL,
+    _left_simplex,
     _pin_floor,
     _require_positive,
+    _simplex_point,
     christoffel_drift,
     euclidean_simplex_projection,
     exp_map,
@@ -64,6 +65,11 @@ class Method(str, Enum):
     LINEAR_MWU = "linear-mwu"
     EXP_MWU = "exp-mwu"
     PROJECTED_LANGEVIN = "proj-langevin"
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown method {value!r} (expected one of {valid})")
 
 
 class StepFailureError(RuntimeError):
@@ -317,11 +323,7 @@ class _BlockLayout:
 
     def validate_init(self, x: np.ndarray, floor: float) -> None:
         for s in self.slices:
-            block = x[s]
-            if not np.isfinite(block).all() or block.min() < floor:
-                raise ValueError("init coordinates must be finite and >= floor")
-            if _left_simplex(block):
-                raise ValueError("each init block must sum to 1 within 1e-9")
+            _simplex_point(x[s], floor)
 
     def rngs(self, seed: int) -> list[np.random.Generator]:
         if len(self.slices) == 1:
@@ -353,13 +355,6 @@ class _BlockLayout:
             clamped |= cl
             resampled |= rs
         return StepResult(out, clamped, resampled)
-
-
-def _left_simplex(points: np.ndarray):
-    """Whether a point (or each row of a stack) fails the simplex rule: a sum
-    within ``SUM_TOL`` of 1 and every coordinate > 0. NaN and inf fail it."""
-    return ~((np.abs(points.sum(axis=-1) - 1.0) <= SUM_TOL)
-             & (points.min(axis=-1) > 0.0))
 
 
 def _off_simplex_error(point: np.ndarray) -> StepFailureError:

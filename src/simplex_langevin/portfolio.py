@@ -174,14 +174,17 @@ def load_returns(source: str | os.PathLike | IO) -> ReturnPanel:
             data = fh.read()
     else:
         data = source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ReturnsParseError(
-                "not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1
-            ) from None
-    return _parse_returns(io.StringIO(data, newline=""))
+    if isinstance(data, str):
+        return _parse_returns(io.StringIO(data, newline=""))
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReturnsParseError(
+            "not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    # decoded in chunks: a StringIO of the whole file holds 4 bytes a character
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return _parse_returns(text)
 
 
 def _parse_returns(fh: Iterable[str]) -> ReturnPanel:
@@ -203,7 +206,8 @@ def _parse_returns(fh: Iterable[str]) -> ReturnPanel:
     dates: list[str] = []
     seen: set[str] = set()
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
+        lineno = reader.line_num  # a quoted cell may span physical lines
         if not raw or all(not c.strip() for c in raw):
             continue  # blank line
         if len(raw) != len(header):

@@ -193,7 +193,7 @@ class TestExitCodes:
             (["compare", "--objective", "f1", "--method", ","],
              "empty method list"),
             (["noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"],
-             "noise-check point has a coordinate below floor 1.000e-03"),
+             "init coordinates must be finite and >= floor 1.000e-03"),
             # a repeated name would fit and write the same cells again
             (["compare", "--objective", "f1", "--method", "lmwu,lmwu"],
              "--method repeats lmwu"),
@@ -271,6 +271,19 @@ class TestExitCodes:
             "error: floor 2.000e-01 is too large for dimension 10\n"
         )
         assert not (bench_run_dir / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["compare"], ["sweep"], ["portfolio", "--window", "250"],
+    ], ids=lambda argv: argv[0])
+    def test_floor_too_large_prints_one_text(self, argv, bench_run_dir,
+                                             capsys):
+        # a run's init check and the portfolio's first lift give one text
+        code = main(argv + ["--returns", "../panel.csv", "--preset", "mv",
+                            "--floor", "0.2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: floor 2.000e-01 is too large for dimension 10\n"
+        )
 
     @pytest.mark.parametrize("argv, stderr", [
         (["optimize", "--returns", "nope.csv"],

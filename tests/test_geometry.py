@@ -16,9 +16,9 @@ from simplex_langevin.geometry import (
     lift_to_interior,
     log_map,
     normalize_retraction,
+    _simplex_point,
     sample_noise,
     shahshahani_gradient,
-    simplex_point,
 )
 
 
@@ -30,19 +30,47 @@ def interior_point(rng, n):
 
 class TestSimplexPoint:
     def test_accepts_valid_point(self):
-        x = simplex_point([0.3, 0.6, 0.1])
+        x = _simplex_point([0.3, 0.6, 0.1], 1e-12)
         assert x.dtype == np.float64
-        assert np.array_equal(simplex_point(x), x)  # accepted again as is
+        assert np.array_equal(_simplex_point(x, 1e-12), x)  # accepted again as is
+        assert _simplex_point(x, 1e-12) is not x
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            simplex_point([0.3, 0.6, 0.2])
+        with pytest.raises(ValueError, match=r"^init coordinates must sum to 1 "
+                           r"within 1e-09, got 1\.0999999999999999$"):
+            _simplex_point([0.3, 0.6, 0.2], 1e-12)
 
     def test_rejects_nonpositive_coordinate(self):
-        with pytest.raises(ValueError):
-            simplex_point([0.5, 0.5, 0.0])
-        with pytest.raises(ValueError):
-            simplex_point([1.2, -0.2])
+        text = r"^init coordinates must be finite and >= floor 1\.000e-12$"
+        with pytest.raises(ValueError, match=text):
+            _simplex_point([0.5, 0.5, 0.0], 1e-12)
+        with pytest.raises(ValueError, match=text):
+            _simplex_point([1.2, -0.2], 1e-12)
+
+    def test_rejects_coordinate_below_floor(self):
+        with pytest.raises(ValueError, match=r"^init coordinates must be "
+                           r"finite and >= floor 1\.000e-03$"):
+            _simplex_point([0.5, 0.4995, 0.0005], 1e-3)
+        # at the floor is allowed
+        assert _simplex_point([0.499, 0.5, 0.001], 1e-3).min() == 1e-3
+
+    @pytest.mark.parametrize("values", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
+    def test_rejects_nonfinite_coordinate(self, values):
+        with pytest.raises(ValueError, match=r"^init coordinates must be "
+                           r"finite and >= floor 1\.000e-12$"):
+            _simplex_point(values, 1e-12)
+
+    def test_rejects_floor_too_large_for_dimension(self):
+        # checked before the coordinates, with normalize_retraction's text
+        with pytest.raises(ValueError, match=r"^floor 5\.000e-01 is too large "
+                           r"for dimension 3$"):
+            _simplex_point([1 / 3, 1 / 3, 1 / 3], 0.5)
+        assert_allclose(_simplex_point([0.5, 0.5], 0.5), [0.5, 0.5], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("values", [[], [[0.5, 0.5]], 1.0])
+    def test_rejects_non_vector(self, values):
+        with pytest.raises(ValueError, match="nonempty 1-D vector"):
+            _simplex_point(values, 1e-12)
 
     def test_barycenter(self):
         assert_allclose(barycenter(4), np.full(4, 0.25), rtol=0, atol=0)

@@ -103,7 +103,9 @@ class TestBenchmarkFunctions:
                             atol=1e-5 * max(1.0, float(np.abs(exact).max())))
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown test function"):
+        # the text the CLI prints for --objective f7
+        with pytest.raises(ValueError, match=r"^unknown objective 'f7' \(expected "
+                           r"one of f1, f2, f3, f4, f5, f6\)$"):
             benchmark("f7")
 
     @pytest.mark.parametrize("size", ["1", "dim-1", "dim+1"])

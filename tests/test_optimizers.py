@@ -202,6 +202,17 @@ class TestRunOptimizer:
         b = run_optimizer(Method.LINEAR_MWU, obj, [0.3, 0.6, 0.1], cfg)
         assert np.array_equal(a.points, b.points)
 
+    def test_unknown_method_names_the_choices(self):
+        # the text the CLI prints for --method warp
+        obj = benchmark("f1")
+        cfg = LmwuConfig(eps=1e-3, beta=1.0, max_iters=5)
+        text = (r"^unknown method 'warp' \(expected one of lmwu, linear-mwu, "
+                r"exp-mwu, proj-langevin\)$")
+        with pytest.raises(ValueError, match=text):
+            run_optimizer("warp", obj, [0.3, 0.6, 0.1], cfg)
+        with pytest.raises(ValueError, match=text):
+            run_chains("warp", obj, [0.3, 0.6, 0.1], cfg, [0])
+
     def test_deterministic_per_seed(self):
         obj = benchmark("f1")
         cfg = LmwuConfig(eps=1e-4, beta=100.0, max_iters=200, seed=12)

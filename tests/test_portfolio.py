@@ -1,6 +1,9 @@
 """Unit tests for returns ingestion and rolling-window evaluation."""
+import importlib
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +47,8 @@ def wiggly_panel(periods, n_assets, seed=0):
     names = tuple(f"a{i}" for i in range(n_assets))
     return ReturnPanel(dates, names, rets)
 
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MEAN_ONLY = RiskPreset(name="mean-only", lambdas=(1.0, 0.0, 0.0, 0.0, 0.0))
 
@@ -114,6 +119,8 @@ class TestLoadReturns:
             ("date,a\nd1,nan\n", 2, "non-finite"),
             ("date,a\nd1,-1.5\n", 2, "-1"),
             ("date,a\n", 2, "no data rows"),
+            # a quoted date spanning lines 2-3: the bad cell is on line 4
+            ('date,a\n"d\n1",0.1\nd2,x\n', 4, "non-numeric"),
         ],
     )
     def test_errors_name_the_line(self, text, line, fragment):
@@ -122,6 +129,24 @@ class TestLoadReturns:
         assert info.value.line == line
         assert fragment in str(info.value)
         assert str(info.value).startswith(f"line {line}:")
+
+    def test_file_is_parsed_without_a_whole_text_copy(self, tmp_path,
+                                                      monkeypatch):
+        # the benchmark's 59 KB panel; a StringIO of the whole file alone
+        # holds 4 bytes per character
+        monkeypatch.syspath_prepend(REPO)
+        workloads = importlib.import_module("perfbench.workloads")
+        path = tmp_path / "panel.csv"
+        workloads.write_panel(str(path), seed=1)
+        load_returns(path)  # imports and caches settle outside the trace
+        tracemalloc.start()
+        try:
+            panel = load_returns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.n_assets == 10
+        assert peak < 6 * path.stat().st_size
 
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,17 @@ def invocations() -> list[tuple[str, list[str]]]:
         "--floor", "0.2", *PANEL_WINDOW]))
     runs.append(("fail-optimize-missing-returns", [
         "optimize", "--returns", os.path.join("..", "missing.csv")]))
+    # bad starting points and names: one text per rule, in every subcommand
+    runs.append(("usage-optimize-returns-floor0.2", [
+        "optimize", "--returns", PANEL, "--preset", "mv", "--floor", "0.2"]))
+    runs.append(("usage-sweep-f1-floor0.5", [
+        "sweep", "--objective", "f1", "--floor", "0.5"]))
+    runs.append(("usage-noise-check-below-floor", [
+        "noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"]))
+    runs.append(("usage-optimize-init-off-sum", [
+        "optimize", "--objective", "f1", "--init", "0.3,0.3,0.3"]))
+    runs.append(("usage-unknown-method", [
+        "optimize", "--objective", "f1", "--method", "warp"]))
     return runs
 
 
