@@ -290,13 +290,25 @@ def _out_dir(args) -> str:
     return out
 
 
+# trajectory rows turned into Python values at a time, so a long run is never
+# copied whole
+_TRAJECTORY_CHUNK = 2048
+
+
 def _write_trajectory(path: str, traj, dim: int) -> None:
+    """The rows ``_write_csv`` writes, one format string each: ``%.17g`` is
+    ``_fmt``'s ``format(v, ".17g")``, and ``%d`` gives a flag as 1 or 0."""
     header = ["iter", "f", *(f"x_{i}" for i in range(1, dim + 1)),
               "clamped", "resampled"]
-    _write_csv(path, header, (
-        [k, traj.f_values[k], *traj.points[k], traj.clamped[k], traj.resampled[k]]
-        for k in range(len(traj))
-    ))
+    row = "%d," + "%.17g," * (dim + 1) + "%d,%d\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(traj), _TRAJECTORY_CHUNK):
+            part = slice(start, start + _TRAJECTORY_CHUNK)
+            fh.write("".join(row % (k, f, *x, c, r) for k, f, x, c, r in zip(
+                range(start, len(traj)), traj.f_values[part].tolist(),
+                traj.points[part].tolist(), traj.clamped[part].tolist(),
+                traj.resampled[part].tolist())))
 
 
 def _print_final(traj) -> None:
@@ -323,11 +335,12 @@ def cmd_optimize(args) -> int:
 def cmd_compare(args) -> int:
     objective, preset, init = _resolve_objective(args)
     methods = _parse_method_list(args.method, tuple(Method))
-    out = _out_dir(args)
+    cfgs = [_run_cfg(args, preset, method) for method in methods]
     rows = []
-    for method in methods:
-        cfg = _run_cfg(args, preset, method)
+    for method, cfg in zip(methods, cfgs):
         traj = run_optimizer(method, objective, init, cfg)
+        # made once a run has returned, so a bad init leaves no directory
+        out = _out_dir(args)
         _write_trajectory(
             os.path.join(out, f"trajectory_{method.value}.csv"),
             traj,

@@ -103,29 +103,36 @@ class Objective:
 # ---------------------------------------------------------------------------
 
 def _double_well(qa, ca, qb, cb, shift):
-    """f(p) = −ln(e^a + e^b) + p_2 + shift for two concave quadratic
-    exponents a = −Σ qa_i (p_i − ca_i)² and b likewise; its gradient is
-    −(w_a ∇a + w_b ∇b) + e_2 for the softmax weights w.
+    """f(p) = −ln(e^a + e^b) + p_2 + shift on the 3-simplex, for two concave
+    quadratic exponents a = −Σ qa_i (p_i − ca_i)² and b likewise; its gradient
+    is −(w_a ∇a + w_b ∇b) + e_2 for the softmax weights w.
 
-    Returns the one-point form p -> (value, grad) and the (K, n) form, which
-    does the same operations in the same order on each row. exp and log stay
-    ``math`` calls per row there: NumPy's vectorized exp and log may round
-    differently. A zero ``shift`` changes no value: a sum is −0 only when both
-    addends are, and p_2 is a simplex coordinate.
+    Returns the one-point form p -> (value, grad), on Python floats like
+    f3–f6, and the (K, 3) form, which does the same operations in the same
+    order on each row: NumPy adds a row's three terms left to right from 0.0,
+    and no term is −0. exp and log stay ``math`` calls per row there: NumPy's
+    vectorized exp and log may round differently. A zero ``shift`` changes no
+    value: a sum is −0 only when both addends are, and p_2 is a simplex
+    coordinate.
     """
+    (qa0, qa1, qa2), (ca0, ca1, ca2), (qb0, qb1, qb2), (cb0, cb1, cb2) = (
+        t.tolist() for t in (qa, ca, qb, cb))
 
     def one(p):
-        da = p - ca
-        db = p - cb
-        a = -float((qa * da * da).sum())
-        b = -float((qb * db * db).sum())
+        x0, x1, x2 = p.tolist()
+        a0, a1, a2 = x0 - ca0, x1 - ca1, x2 - ca2
+        b0, b1, b2 = x0 - cb0, x1 - cb1, x2 - cb2
+        a = -(qa0 * a0 * a0 + qa1 * a1 * a1 + qa2 * a2 * a2)
+        b = -(qb0 * b0 * b0 + qb1 * b1 * b1 + qb2 * b2 * b2)
         m = a if a >= b else b
         ea = math.exp(a - m)
         eb = math.exp(b - m)
         s = ea + eb
-        grad = (ea / s) * (2.0 * qa * da) + (eb / s) * (2.0 * qb * db)
-        grad[1] += 1.0
-        return -(m + math.log(s)) + p[1] + shift, grad
+        wa, wb = ea / s, eb / s
+        grad = [wa * (2.0 * qa0 * a0) + wb * (2.0 * qb0 * b0),
+                wa * (2.0 * qa1 * a1) + wb * (2.0 * qb1 * b1) + 1.0,
+                wa * (2.0 * qa2 * a2) + wb * (2.0 * qb2 * b2)]
+        return -(m + math.log(s)) + x1 + shift, np.array(grad)
 
     def rows(p):
         da = p - ca

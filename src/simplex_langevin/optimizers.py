@@ -20,12 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
     DEFAULT_FLOOR,
+    SUM_TOL,
     _left_simplex,
     _pin_floor,
     _require_positive,
@@ -301,6 +305,10 @@ def projected_langevin_step(
     _require_positive("eps", eps)
     _require_positive("beta", beta)
     y = x - eps * grad + math.sqrt(2.0 * eps / beta) * rng.standard_normal(x.size)
+    return _project_proposal(y, floor)
+
+
+def _project_proposal(y: np.ndarray, floor: float) -> np.ndarray:
     if not np.isfinite(y).all():
         raise StepFailureError("Langevin proposal is not finite")
     return lift_to_interior(euclidean_simplex_projection(y), floor=floor)
@@ -386,6 +394,103 @@ _BLOCK_STEPS = {
 }
 
 
+# the largest simplex that run_optimizer steps on float lists: a float64
+# array's sum() adds fewer than 8 values left to right from 0.0, as
+# _float_sum does (Python's sum may compensate), and pairwise from 8 up
+_FLOAT_DIM = 7
+
+
+def _float_sum(values) -> float:
+    return reduce(add, values, 0.0)
+
+
+def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
+                n: int):
+    """``method``'s step on one simplex of ``n`` <= ``_FLOAT_DIM``
+    coordinates, with the simplex check of ``_BlockLayout.step``: ``(x, grad)
+    -> (point, clamped, resampled)``, the point a float list.
+
+    It does the NumPy step's operations in the same order on Python floats,
+    so it gives the same bits: ``sqrt`` is correctly rounded, ``exp-mwu``
+    keeps NumPy's ``exp``, and the normals come from ``rng`` in blocks in the
+    order ``rng.standard_normal(n)`` gives them. A point below the floor, a
+    multiplier <= 0 or a value that is not finite goes to the NumPy code,
+    which clamps, lifts or raises as it does there.
+    """
+    eps, beta, floor = cfg.eps, cfg.beta, cfg.floor
+    drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
+    sd = math.sqrt(noise_c)
+    draws = _normal_lists(rng, n)
+
+    def lmwu(x, g):
+        if min(x) < floor:
+            christoffel_drift(np.array(x), eps, beta, floor=floor)  # raises
+        s_x = _float_sum([1.0 / v for v in x])
+        terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
+                  math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
+        for attempt in range(_RESAMPLE_LIMIT + 1):
+            numer = [b + (d + r * z) for (b, d, r), z in zip(terms, next(draws))]
+            total = _float_sum(numer)
+            if total > floor and min(numer) > 0.0:
+                break
+        if not total > floor:
+            raise _denominator_failure(total)
+        point = [v / total for v in numer]
+        if min(point) >= floor:
+            return point, False, attempt > 0
+        point, clamped = normalize_retraction(np.array(numer), floor=floor)
+        return point.tolist(), clamped, attempt > 0
+
+    def linear_mwu(x, g):
+        mult = [1.0 - eps * gv for gv in g]
+        numer = [v * m for v, m in zip(x, mult)]
+        total = _float_sum(numer)
+        if min(mult) > 0.0 and total > 0.0:
+            return [v / total for v in numer], False, False
+        return mwu_linear_step(np.array(x), np.array(g), eps).tolist(), False, False
+
+    def exp_mwu(x, g):
+        v = [-eps * gv for gv in g]
+        top = max(v)
+        e = np.exp(np.array([t - top for t in v])).tolist()
+        w = [a * b for a, b in zip(x, e)]
+        total = _float_sum(w)
+        if total > 0.0:
+            return [t / total for t in w], False, False
+        return exp_map(np.array(x), np.array(v)).tolist(), False, False
+
+    def proj_langevin(x, g):
+        y = [v - eps * gv + sd * z for v, gv, z in zip(x, g, next(draws))]
+        u = sorted(y, reverse=True)
+        css = list(accumulate(u))
+        rho = [k for k in range(n) if u[k] - (css[k] - 1.0) / (k + 1) > 0.0]
+        if rho and all(map(math.isfinite, y)):
+            theta = (css[rho[-1]] - 1.0) / (rho[-1] + 1.0)
+            point = [max(v - theta, 0.0) for v in y]
+            if min(point) >= floor:
+                return point, False, False
+        return _project_proposal(np.array(y), floor).tolist(), False, False
+
+    step = {Method.LMWU: lmwu, Method.LINEAR_MWU: linear_mwu,
+            Method.EXP_MWU: exp_mwu, Method.PROJECTED_LANGEVIN: proj_langevin,
+            }[method]
+
+    def checked_step(x: np.ndarray, grad: np.ndarray):
+        point, clamped, resampled = step(x.tolist(), grad.tolist())
+        if abs(_float_sum(point) - 1.0) <= SUM_TOL and min(point) > 0.0:
+            return point, clamped, resampled
+        raise _off_simplex_error(np.array(point))
+
+    return checked_step
+
+
+def _normal_lists(rng: np.random.Generator, n: int):
+    """``rng.standard_normal(n)`` draw after draw as float lists, drawn in
+    blocks as ``_Normals`` draws them."""
+    while True:
+        yield from rng.standard_normal((max(1, _NORMAL_BLOCK // n), n)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # run loops
 # ---------------------------------------------------------------------------
@@ -416,15 +521,21 @@ def run_optimizer(
     it. The objective is evaluated once per iterate: its value is recorded
     and its gradient drives the next step. Runs are deterministic in
     (method, objective, init, cfg): stochastic methods derive one RNG
-    substream per simplex block from ``cfg.seed``.
+    substream per simplex block from ``cfg.seed``. A run on one simplex of
+    at most 7 coordinates steps on floats, with the NumPy step's bits.
 
     Raises:
         StepFailureError: a step could not produce a point; carries the
             iteration index (and the block, over a product of simplices).
     """
-    step = _BLOCK_STEPS[Method(method)]
+    method = Method(method)
     x, layout = _initial_point(objective, init, cfg.floor)
     rngs = layout.rngs(cfg.seed)
+    if len(layout.slices) == 1 and objective.dim <= _FLOAT_DIM:
+        step = _float_step(method, cfg, rngs[0], objective.dim)
+    else:
+        def step(x, grad):
+            return layout.step(_BLOCK_STEPS[method], x, grad, cfg, rngs)
 
     k_max = cfg.max_iters
     points = np.empty((k_max + 1, objective.dim))
@@ -436,12 +547,11 @@ def run_optimizer(
 
     for k in range(1, k_max + 1):
         try:
-            x, clamped[k], resampled[k] = layout.step(step, x, grad, cfg, rngs)
+            points[k], clamped[k], resampled[k] = step(points[k - 1], grad)
         except StepFailureError as exc:
             exc.iteration = k
             raise
-        points[k] = x
-        f_values[k], grad = objective.value_and_grad(x)
+        f_values[k], grad = objective.value_and_grad(points[k])
     return Trajectory(points, f_values, clamped, resampled)
 
 

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import simplex_langevin
+from simplex_langevin import cli
 from simplex_langevin.cli import ENV_SEED, main
+from simplex_langevin.optimizers import Trajectory
 
 RETURNS_CSV = """date,a,b
 2021-01-01,0.02,0.001
@@ -485,6 +488,52 @@ class TestCompare:
         assert code == 0
         _, rows = read_csv(tmp_path / "summary.csv")
         assert [r[0] for r in rows] == ["linear-mwu", "exp-mwu"]
+
+    def test_bad_init_leaves_no_out_directory(self, tmp_path, capsys):
+        # --out is made only once a run has returned
+        out = tmp_path / "made"
+        code = main(["compare", "--objective", "f1", "--init", "0.3,0.3,0.3",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: init coordinates must sum to 1 within 1e-09, "
+            "got 0.8999999999999999\n"
+        )
+        assert not out.exists()
+
+
+def csv_writer_trajectory(path, traj, dim):
+    """The trajectory file as ``csv.writer`` writes it with ``cli._fmt``
+    cells, row by row: the reference for ``cli._write_trajectory``."""
+    header = ["iter", "f", *(f"x_{i}" for i in range(1, dim + 1)),
+              "clamped", "resampled"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k in range(len(traj)):
+            writer.writerow([cli._fmt(c) for c in [
+                k, traj.f_values[k], *traj.points[k], traj.clamped[k],
+                traj.resampled[k]]])
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+def test_trajectory_writer_equals_csv_writer(tmp_path, dim):
+    # more rows than two chunks and not a multiple of one; flags set;
+    # coordinates pinned at a 1e-12 floor; values of every magnitude
+    rows = 2 * cli._TRAJECTORY_CHUNK + 37
+    rng = np.random.default_rng(dim)
+    points = rng.dirichlet(np.full(dim, 0.2), size=rows)
+    points[rng.random((rows, dim)) < 0.2] = 1e-12
+    points[1] = [0.1 + 0.2] + [0.7 / (dim - 1)] * (dim - 1)
+    f_values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    f_values[:4] = [10.154925652974732, -0.0, 1e-12, 2.0 ** 60]
+    traj = Trajectory(points, f_values, rng.random(rows) < 0.3,
+                      rng.random(rows) < 0.4)
+    assert traj.clamped.any() and traj.resampled.any()
+    cli._write_trajectory(tmp_path / "new.csv", traj, dim)
+    csv_writer_trajectory(tmp_path / "reference.csv", traj, dim)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 class TestSweep:

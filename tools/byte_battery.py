@@ -81,7 +81,17 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("noise-check-f5", [
         "noise-check", "--objective", "f5", "--init", "paper",
         "--samples", "20000", "--seed", "4", "--out", "."]))
+    # steps that resample and clamp on most rows (the clamp path of lmwu and
+    # the floor lift of proj-langevin)
+    clamp = ["--init", "uniform", "--eps", "0.5", "--beta", "1e8",
+             "--floor", "1e-6", "--iters", "300", "--seed", "3"]
+    for fid, method in (("f3", "lmwu"), ("f5", "lmwu"), ("f3", "proj-langevin")):
+        runs.append((f"clamp-optimize-{fid}-{method}", [
+            "optimize", "--objective", fid, "--method", method, *clamp]))
     # known failures and a usage error: their messages and exit codes count
+    runs.append(("fail-optimize-f1-lmwu-beta10", [
+        "optimize", "--objective", "f1", "--init", "paper", "--method", "lmwu",
+        "--beta", "10", "--iters", "1500", "--seed", "1"]))
     runs.append(("fail-compare-f5-paper", [
         "compare", "--objective", "f5", "--init", "paper"]))
     runs.append(("fail-sweep-f1-beta10", [
