@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -59,10 +61,19 @@ def _no_room(floor: float, n: int) -> ValueError:
     return ValueError(f"floor {floor:.3e} is too large for dimension {n}")
 
 
+def _left_sum(values):
+    """The one summation rule of the steps: a float list, or each row of an
+    array over its last axis, added left to right from 0.0 (so a row of
+    −0.0 sums to 0.0). ``ndarray.sum`` adds pairwise from 8 values up."""
+    if isinstance(values, list):
+        return reduce(add, values, 0.0)
+    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
+
+
 def _left_simplex(points: np.ndarray):
     """Whether a point (or each row of a stack) fails the simplex rule: a sum
     within ``SUM_TOL`` of 1 and every coordinate > 0. NaN and inf fail it."""
-    return ~((np.abs(points.sum(axis=-1) - 1.0) <= SUM_TOL)
+    return ~((np.abs(_left_sum(points) - 1.0) <= SUM_TOL)
              & (points.min(axis=-1) > 0.0))
 
 
@@ -83,7 +94,7 @@ def _simplex_point(values, floor: float) -> np.ndarray:
     if not np.isfinite(x).all() or x.min() < floor:
         rule = f"be finite and >= floor {floor:.3e}"
     elif _left_simplex(x):
-        rule = f"sum to 1 within {SUM_TOL}, got {float(x.sum())!r}"
+        rule = f"sum to 1 within {SUM_TOL}, got {float(_left_sum(x))!r}"
     else:
         return x
     raise ValueError(f"init coordinates must {rule}")
@@ -124,7 +135,7 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     if x.shape != v.shape:
         raise ValueError(f"dimension mismatch: point {x.shape} vs tangent {v.shape}")
     w = x * np.exp(v - v.max())
-    return w / w.sum()
+    return w / _left_sum(w)
 
 
 def log_map(x: np.ndarray, y: np.ndarray) -> TangentVector:
@@ -189,7 +200,7 @@ def christoffel_drift(
             f"coordinate {x.min():.3e} below floor {floor:.3e}"
         )
     n = x.shape[-1]
-    s = (1.0 / x).sum(axis=-1, keepdims=True)
+    s = _left_sum(1.0 / x)[..., None]
     return (0.5 * eps / beta) * (n + 1.0 - (1.0 + x) * s)
 
 
@@ -232,7 +243,7 @@ def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:
         budget = 1.0 - floor * int(low.sum())
         if budget <= 0.0 or not free.any():
             raise _no_room(floor, y.size)
-        z = np.where(low, floor, y * (budget / y[free].sum()))
+        z = np.where(low, floor, y * (budget / _left_sum(y[free])))
         grown = (z < floor) & free
         if not grown.any():
             return z
@@ -254,7 +265,7 @@ def normalize_retraction(
             room for ``raw.size`` coordinates.
     """
     raw = np.asarray(raw, dtype=float)
-    total = float(raw.sum())
+    total = float(_left_sum(raw))
     if not total > floor:
         raise ValueError(
             f"component sum {total!r} not above floor {floor:.3e}"
@@ -273,6 +284,11 @@ def euclidean_simplex_projection(y: np.ndarray) -> np.ndarray:
     rho the largest k such that u_k − (Σ_{j<=k} u_j − 1)/k > 0, the result is
     max(y − θ, 0) for θ = (Σ_{j<=rho} u_j − 1)/rho. Output coordinates may be
     exactly zero; use :func:`lift_to_interior` before metric operations.
+
+    Raises:
+        ValueError: ``y`` is not a nonempty finite 1-D vector, or its
+            coordinates are so large (about 1e16 and up) that the test
+            rounds to 0 for every k and no threshold exists in float64.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -282,7 +298,13 @@ def euclidean_simplex_projection(y: np.ndarray) -> np.ndarray:
     u = np.sort(y)[::-1]
     css = np.cumsum(u)
     k = np.arange(1, y.size + 1)
-    rho = int(np.nonzero(u - (css - 1.0) / k > 0.0)[0][-1])
+    above = np.flatnonzero(u - (css - 1.0) / k > 0.0)
+    if above.size == 0:
+        raise ValueError(
+            f"coordinates of magnitude {np.abs(y).max():.3e} leave no "
+            "projection threshold in float64"
+        )
+    rho = int(above[-1])
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(y - theta, 0.0)
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
 from itertools import accumulate
-from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +29,7 @@ from .geometry import (
     DEFAULT_FLOOR,
     SUM_TOL,
     _left_simplex,
+    _left_sum,
     _pin_floor,
     _require_positive,
     _simplex_point,
@@ -222,7 +221,7 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
             f"eps={float(eps)!r} makes a multiplier nonpositive (min {mult.min():.3e})"
         )
     numer = x * mult
-    return numer / numer.sum()
+    return numer / _left_sum(numer)
 
 
 # extra noise draws an lmwu step may take when a draw would leave the simplex
@@ -252,7 +251,7 @@ def lmwu_step(
     base, drift, scale = _lmwu_terms(x, grad, cfg)
     for attempt in range(_RESAMPLE_LIMIT + 1):
         numer = base + (drift + scale * rng.standard_normal(x.shape))
-        total = float(numer.sum())
+        total = float(_left_sum(numer))
         if total > cfg.floor and numer.min() > 0.0:
             break
     if not total > cfg.floor:
@@ -311,7 +310,11 @@ def projected_langevin_step(
 def _project_proposal(y: np.ndarray, floor: float) -> np.ndarray:
     if not np.isfinite(y).all():
         raise StepFailureError("Langevin proposal is not finite")
-    return lift_to_interior(euclidean_simplex_projection(y), floor=floor)
+    try:
+        projected = euclidean_simplex_projection(y)
+    except ValueError as exc:  # coordinates too large to have a threshold
+        raise StepFailureError(f"Langevin proposal cannot be projected: {exc}") from None
+    return lift_to_interior(projected, floor=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def _project_proposal(y: np.ndarray, floor: float) -> np.ndarray:
 class _BlockLayout:
     """One slice per simplex block of ``block_dims``. Every walk over the
     blocks goes through this class: init validation, the per-block RNG
-    streams, and the blockwise step with its simplex check; over several
+    streams, and the run's step, one float step per block; over several
     blocks a failure names its block.
     """
 
@@ -343,77 +346,50 @@ class _BlockLayout:
             for b in range(len(self.slices))
         ]
 
-    def step(self, step_fn, x, grad, cfg: LmwuConfig, rngs) -> StepResult:
-        """Apply ``step_fn(x_b, grad_b, cfg, rng_b) -> StepResult`` to each
-        block b. A single block gets the step's own result, with no copy."""
-        if len(self.slices) == 1:
-            res = step_fn(x, grad, cfg, rngs[0])
-            _check_on_simplex(res.point)
-            return res
-        out = np.empty_like(x)
-        clamped = resampled = False
-        for b, (s, rng) in enumerate(zip(self.slices, rngs)):
-            try:
-                point, cl, rs = step_fn(x[s], grad[s], cfg, rng)
-                _check_on_simplex(point)
-            except StepFailureError as exc:
-                exc.block = b
-                raise
-            out[s] = point
-            clamped |= cl
-            resampled |= rs
-        return StepResult(out, clamped, resampled)
+    def step(self, method: Method, cfg: LmwuConfig, seed: int):
+        """``method``'s step over every block, each block on its own stream
+        of ``seed``: ``(x, grad) -> (point, clamped, resampled)``, the point
+        a float list. A single block gets its float step as it is."""
+        steps = [_float_step(method, cfg, rng, s.stop - s.start)
+                 for s, rng in zip(self.slices, self.rngs(seed))]
+        if len(steps) == 1:
+            return steps[0]
+
+        def blocks_step(x: np.ndarray, grad: np.ndarray):
+            out = []
+            clamped = resampled = False
+            for b, (s, step) in enumerate(zip(self.slices, steps)):
+                try:
+                    point, cl, rs = step(x[s], grad[s])
+                except StepFailureError as exc:
+                    exc.block = b
+                    raise
+                out += point
+                clamped |= cl
+                resampled |= rs
+            return out, clamped, resampled
+
+        return blocks_step
 
 
 def _off_simplex_error(point: np.ndarray) -> StepFailureError:
     return StepFailureError(
-        f"iterate left the simplex (block sum {float(point.sum())!r}, "
+        f"iterate left the simplex (block sum {float(_left_sum(point))!r}, "
         f"min coord {float(point.min())!r})"
     )
 
 
-def _check_on_simplex(point: np.ndarray) -> None:
-    if _left_simplex(point):
-        raise _off_simplex_error(point)
-
-
-# the per-block step (x, grad, cfg, rng) -> StepResult of each method
-_BLOCK_STEPS = {
-    Method.LMWU: lmwu_step,
-    Method.LINEAR_MWU: lambda x, g, cfg, rng: StepResult(
-        mwu_linear_step(x, g, cfg.eps), False, False,
-    ),
-    # x_i e^{−ε g_i} / Σ_j x_j e^{−ε g_j}
-    Method.EXP_MWU: lambda x, g, cfg, rng: StepResult(
-        exp_map(x, -cfg.eps * g), False, False,
-    ),
-    Method.PROJECTED_LANGEVIN: lambda x, g, cfg, rng: StepResult(
-        projected_langevin_step(x, g, cfg.eps, cfg.beta, rng, floor=cfg.floor),
-        False, False,
-    ),
-}
-
-
-# the largest simplex that run_optimizer steps on float lists: a float64
-# array's sum() adds fewer than 8 values left to right from 0.0, as
-# _float_sum does (Python's sum may compensate), and pairwise from 8 up
-_FLOAT_DIM = 7
-
-
-def _float_sum(values) -> float:
-    return reduce(add, values, 0.0)
-
-
 def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
                 n: int):
-    """``method``'s step on one simplex of ``n`` <= ``_FLOAT_DIM``
-    coordinates, with the simplex check of ``_BlockLayout.step``: ``(x, grad)
-    -> (point, clamped, resampled)``, the point a float list.
+    """``method``'s step on one simplex of ``n`` coordinates, with the
+    per-step simplex check: ``(x, grad) -> (point, clamped, resampled)``,
+    the point a float list.
 
-    It does the NumPy step's operations in the same order on Python floats,
-    so it gives the same bits: ``sqrt`` is correctly rounded, ``exp-mwu``
-    keeps NumPy's ``exp``, and the normals come from ``rng`` in blocks in the
-    order ``rng.standard_normal(n)`` gives them. A point below the floor, a
+    It does the public NumPy step's operations in the same order on Python
+    floats, so it gives the same bits: every sum goes through
+    ``_left_sum``, ``sqrt`` is correctly rounded, ``exp-mwu`` keeps NumPy's
+    ``exp``, and the normals come from ``rng`` in blocks in the order
+    ``rng.standard_normal(n)`` gives them. A point below the floor, a
     multiplier <= 0 or a value that is not finite goes to the NumPy code,
     which clamps, lifts or raises as it does there.
     """
@@ -425,12 +401,12 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
     def lmwu(x, g):
         if min(x) < floor:
             christoffel_drift(np.array(x), eps, beta, floor=floor)  # raises
-        s_x = _float_sum([1.0 / v for v in x])
+        s_x = _left_sum([1.0 / v for v in x])
         terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
                   math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
         for attempt in range(_RESAMPLE_LIMIT + 1):
             numer = [b + (d + r * z) for (b, d, r), z in zip(terms, next(draws))]
-            total = _float_sum(numer)
+            total = _left_sum(numer)
             if total > floor and min(numer) > 0.0:
                 break
         if not total > floor:
@@ -444,7 +420,7 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
     def linear_mwu(x, g):
         mult = [1.0 - eps * gv for gv in g]
         numer = [v * m for v, m in zip(x, mult)]
-        total = _float_sum(numer)
+        total = _left_sum(numer)
         if min(mult) > 0.0 and total > 0.0:
             return [v / total for v in numer], False, False
         return mwu_linear_step(np.array(x), np.array(g), eps).tolist(), False, False
@@ -454,7 +430,7 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
         top = max(v)
         e = np.exp(np.array([t - top for t in v])).tolist()
         w = [a * b for a, b in zip(x, e)]
-        total = _float_sum(w)
+        total = _left_sum(w)
         if total > 0.0:
             return [t / total for t in w], False, False
         return exp_map(np.array(x), np.array(v)).tolist(), False, False
@@ -477,7 +453,7 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
 
     def checked_step(x: np.ndarray, grad: np.ndarray):
         point, clamped, resampled = step(x.tolist(), grad.tolist())
-        if abs(_float_sum(point) - 1.0) <= SUM_TOL and min(point) > 0.0:
+        if abs(_left_sum(point) - 1.0) <= SUM_TOL and min(point) > 0.0:
             return point, clamped, resampled
         raise _off_simplex_error(np.array(point))
 
@@ -521,8 +497,8 @@ def run_optimizer(
     it. The objective is evaluated once per iterate: its value is recorded
     and its gradient drives the next step. Runs are deterministic in
     (method, objective, init, cfg): stochastic methods derive one RNG
-    substream per simplex block from ``cfg.seed``. A run on one simplex of
-    at most 7 coordinates steps on floats, with the NumPy step's bits.
+    substream per simplex block from ``cfg.seed``. Each block steps on
+    floats, with the bits of the public NumPy step.
 
     Raises:
         StepFailureError: a step could not produce a point; carries the
@@ -530,13 +506,7 @@ def run_optimizer(
     """
     method = Method(method)
     x, layout = _initial_point(objective, init, cfg.floor)
-    rngs = layout.rngs(cfg.seed)
-    if len(layout.slices) == 1 and objective.dim <= _FLOAT_DIM:
-        step = _float_step(method, cfg, rngs[0], objective.dim)
-    else:
-        def step(x, grad):
-            return layout.step(_BLOCK_STEPS[method], x, grad, cfg, rngs)
-
+    step = layout.step(method, cfg, cfg.seed)
     k_max = cfg.max_iters
     points = np.empty((k_max + 1, objective.dim))
     f_values = np.empty(k_max + 1)
@@ -601,7 +571,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     floor = cfg.floor
     base, drift, scale = _lmwu_terms(x, grad, cfg)
     numer = base + (drift + scale * normals.take(np.arange(len(x))))
-    total = numer.sum(axis=-1)
+    total = _left_sum(numer)
     ok = (total > floor) & (numer.min(axis=-1) > 0.0)
     for _ in range(_RESAMPLE_LIMIT):
         rows = np.flatnonzero(~ok)
@@ -609,7 +579,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
             break
         redraw = base[rows] + (drift[rows] + scale[rows] * normals.take(rows))
         numer[rows] = redraw
-        total[rows] = redraw.sum(axis=-1)
+        total[rows] = _left_sum(redraw)
         ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
     # past its resamples a row keeps its last draw: clamped while the sum
     # is above the floor, failed otherwise
@@ -626,29 +596,20 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     return points, failure
 
 
-def _rowwise(step):
-    """A method's one-point step applied to each row in turn."""
+def _float_rows(steps):
+    """The one-point float step ``steps[k]`` of chain k applied to row k,
+    row by row."""
 
-    def rows_step(x, grad, cfg: LmwuConfig, normals: _Normals):
+    def rows_step(x, grad):
         out = np.empty_like(x)
         for k in range(len(x)):
             try:
-                out[k] = step(x[k], grad[k], cfg, normals.rngs[k]).point
-                _check_on_simplex(out[k])
+                out[k] = steps[k](x[k], grad[k])[0]
             except StepFailureError as exc:
                 return out[:k], (k, exc)
         return out, None
 
     return rows_step
-
-
-# the step of each method over the rows of a (K, n) array: returns the new
-# points of the rows before the first row that failed, and that row's
-# (index, error) or None
-_ROW_STEPS = {
-    method: _lmwu_rows if method is Method.LMWU else _rowwise(step)
-    for method, step in _BLOCK_STEPS.items()
-}
 
 
 def run_chains(
@@ -672,7 +633,7 @@ def run_chains(
         StepFailureError: the error of the lowest-index chain that fails,
             as ``run_optimizer`` raises it for that seed.
     """
-    step = _ROW_STEPS[Method(method)]
+    method = Method(method)
     if len(objective.block_dims) != 1:
         raise ValueError("run_chains takes single-simplex objectives only")
     x, layout = _initial_point(objective, init, cfg.floor)
@@ -682,25 +643,32 @@ def run_chains(
     if not seeds:
         raise ValueError("run_chains needs at least one seed")
     ends = [
-        _run_slice(step, objective, x, cfg,
-                   [layout.rngs(s)[0] for s in seeds[i:i + _CHAIN_SLICE]])
+        _run_slice(method, objective, x, cfg, layout, seeds[i:i + _CHAIN_SLICE])
         for i in range(0, len(seeds), _CHAIN_SLICE)
     ]
     return ChainEnds(*(np.concatenate(part) for part in zip(*ends)))
 
 
-def _run_slice(step, objective: Objective, init: np.ndarray, cfg: LmwuConfig,
-               rngs: list[np.random.Generator]):
-    x = np.tile(init, (len(rngs), 1))
+def _run_slice(method: Method, objective: Objective, init: np.ndarray,
+               cfg: LmwuConfig, layout: _BlockLayout, seeds: list[int]):
+    if method is Method.LMWU:
+        normals = _Normals([layout.rngs(s)[0] for s in seeds], init.size)
+
+        def step(x, grad):
+            return _lmwu_rows(x, grad, cfg, normals)
+    else:
+        step = _float_rows([layout.step(method, cfg, s) for s in seeds])
+    # step(x, grad) returns the new points of the rows before the first row
+    # that failed, and that row's (index, error) or None
+    x = np.tile(init, (len(seeds), 1))
     f, grad = objective.values_and_grads(x)
     best = f.copy()
-    normals = _Normals(rngs, init.size)
     # chains [0, m) still run: a failing chain ends itself and every later
     # one, so the failure kept is always that of the lowest-index chain
-    m = len(rngs)
+    m = len(seeds)
     failure = None
     for k in range(1, cfg.max_iters + 1):
-        new, failed = step(x[:m], grad[:m], cfg, normals)
+        new, failed = step(x[:m], grad[:m])
         if failed is not None:
             m, failure = failed
             failure.iteration = k

@@ -257,7 +257,12 @@ class TestExitCodes:
           "--method", "linear-mwu", "--eps", "1000", "--window", "250"],
          "linear-mwu mv: failed: eps=1000.0 makes a multiplier nonpositive "
          "(min -4.171e+00) (period 251, iteration 1)\n"),
-    ], ids=["linear-mwu", "exp-mwu", "portfolio"])
+        (["optimize", "--objective", "f1", "--method", "proj-langevin",
+          "--eps", "1e17", "--iters", "3"],
+         "error: step failure: Langevin proposal cannot be projected: "
+         "coordinates of magnitude 2.184e+17 leave no projection threshold "
+         "in float64 (iteration 1)\n"),
+    ], ids=["linear-mwu", "exp-mwu", "portfolio", "proj-langevin"])
     def test_oversized_step_messages(self, argv, stderr, bench_run_dir, capsys):
         # the byte battery's step-failure invocations, on the benchmark panel
         assert main(argv) == 1

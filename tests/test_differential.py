@@ -1,14 +1,15 @@
 """Seeded differential harness: random run cases checked against the
-reference loop.
+reference loops.
 
 One generator draws every case from seeded NumPy: a quadratic objective on
-n = 2–14 coordinates (n >= 8 reaches NumPy's pairwise summation), a
-Dirichlet init lifted to the floor, a floor in 1e-12–1e-4, ε in 1e-4–1e-1,
-β in 0.1–1e4, 1–300 steps and 5 seeds, with the four methods in turn. A
-kernel rewrite is checked here against ``run_optimizer``, the per-step
-loop that every other loop must reproduce bit for bit; ``run_optimizer``'s
-float steps on simplices of n <= 7 are checked against the NumPy per-step
-loop over the public steps.
+n = 2–14 coordinates, a Dirichlet init lifted to the floor, a floor in
+1e-12–1e-4, ε in 1e-4–1e-1, β in 0.1–1e4, 1–300 steps and 5 seeds, with
+the four methods in turn. A kernel rewrite is checked here against
+``run_optimizer``, the per-step loop that every other loop must reproduce
+bit for bit; ``run_optimizer``'s float steps are checked against a block
+walk over the public NumPy steps at every n, on cases forced to resample
+and clamp, and on products of two simplices. Both add every sum left to
+right, so n >= 8, where ``ndarray.sum`` adds pairwise, is no exception.
 """
 import re
 from dataclasses import replace
@@ -18,7 +19,12 @@ import numpy as np
 import pytest
 
 from simplex_langevin import optimizers
-from simplex_langevin.geometry import SUM_TOL, exp_map, lift_to_interior
+from simplex_langevin.geometry import (
+    SUM_TOL,
+    _left_simplex,
+    exp_map,
+    lift_to_interior,
+)
 from simplex_langevin.objectives import Objective
 from simplex_langevin.optimizers import (
     LmwuConfig,
@@ -26,7 +32,6 @@ from simplex_langevin.optimizers import (
     StepFailureError,
     StepResult,
     Trajectory,
-    _BlockLayout,
     lmwu_step,
     mwu_linear_step,
     projected_langevin_step,
@@ -50,15 +55,16 @@ class Case(NamedTuple):
     seeds: list[int]
 
 
-def _quadratic(a: np.ndarray, b: np.ndarray) -> Objective:
-    """f(x) = ½·xᵀAx + b·x, gradient Ax + b."""
+def _quadratic(a: np.ndarray, b: np.ndarray, block_dims=None) -> Objective:
+    """f(x) = ½·xᵀAx + b·x, gradient Ax + b, on one simplex or on the
+    product of simplices ``block_dims``."""
 
     def fn(x):
         g = a @ x + b
         return float(0.5 * (x @ (a @ x)) + b @ x), g
 
     return Objective(name=f"quadratic-{b.size}", dim=b.size,
-                     block_dims=(b.size,), fn=fn)
+                     block_dims=block_dims or (b.size,), fn=fn)
 
 
 def generate_cases(count: int = CASES, seed: int = 20251) -> list[Case]:
@@ -141,8 +147,8 @@ def test_chains_equal_per_seed_runs(references, method):
 
 
 def test_cases_reach_the_regimes_they_claim(references):
-    # failures and full runs of every method, failures in the pairwise-sum
-    # regime, lmwu runs that clamp, and inits with coordinates at the floor
+    # failures and full runs of every method, failures at n >= 8, lmwu
+    # runs that clamp, and inits with coordinates at the floor
     failed = [case for case, _, failure in references if failure is not None]
     assert 0 < len(failed) < CASES
     assert {case.method for case, _, failure in references
@@ -168,83 +174,112 @@ NUMPY_STEPS = {
 
 def numpy_loop(method, objective, init, cfg):
     """The reference for run_optimizer's float steps: the per-step loop over
-    the public NumPy steps, each step through ``_BlockLayout.step``. Returns
-    the trajectory, or the StepFailureError located at its iteration."""
-    layout = _BlockLayout(objective.block_dims)
-    rngs = layout.rngs(cfg.seed)
-    x = np.array(init, dtype=float)
+    the public NumPy steps, walking the blocks in order, each on its own
+    generator, with the simplex check after each block's step. Returns the
+    trajectory, or the StepFailureError located at its iteration (and its
+    block, over several blocks)."""
+    stops = np.cumsum(objective.block_dims).tolist()
+    slices = [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
+    if len(slices) == 1:
+        rngs = [np.random.default_rng(cfg.seed)]
+    else:
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
+                for b in range(len(slices))]
     points = np.empty((cfg.max_iters + 1, objective.dim))
     f_values = np.empty(cfg.max_iters + 1)
     clamped = np.zeros(cfg.max_iters + 1, dtype=bool)
     resampled = np.zeros(cfg.max_iters + 1, dtype=bool)
-    points[0] = x
-    f_values[0], grad = objective.value_and_grad(x)
+    points[0] = init
+    f_values[0], grad = objective.value_and_grad(points[0])
     for k in range(1, cfg.max_iters + 1):
-        try:
-            x, clamped[k], resampled[k] = layout.step(
-                NUMPY_STEPS[method], x, grad, cfg, rngs)
-        except StepFailureError as exc:
-            exc.iteration = k
-            return exc
-        points[k] = x
-        f_values[k], grad = objective.value_and_grad(x)
+        for b, (s, rng) in enumerate(zip(slices, rngs)):
+            try:
+                point, cl, rs = NUMPY_STEPS[method](points[k - 1][s], grad[s],
+                                                    cfg, rng)
+                if _left_simplex(point):
+                    raise optimizers._off_simplex_error(point)
+            except StepFailureError as exc:
+                exc.iteration = k
+                if len(slices) > 1:
+                    exc.block = b
+                return exc
+            points[k][s] = point
+            clamped[k] |= cl
+            resampled[k] |= rs
+        f_values[k], grad = objective.value_and_grad(points[k])
     return Trajectory(points, f_values, clamped, resampled)
 
 
 def branch_cases() -> list[Case]:
     """Cases forced off the plain path, every method: ε = 0.03, β = 1 over 5
     steps on n = 3 resamples draws that it then keeps unclamped; ε = 0.5,
-    β = 1e8 and floor 1e-6 clamp on quadratics of n = 3, 5 and 7."""
+    β = 1e8 and floor 1e-6 clamp on quadratics of n = 3, 5, 7 and 10. The
+    same two settings run on a product of simplices of 3 and 9 coordinates,
+    and a linear objective steep on the second block only fails
+    ``linear-mwu`` there."""
     rng = np.random.default_rng(7)
-    settings = [(3, LmwuConfig(eps=0.03, beta=1.0, max_iters=5))]
-    settings += [(n, LmwuConfig(eps=0.5, beta=1e8, max_iters=200, floor=1e-6))
-                 for n in (3, 5, 7)]
+    resample = LmwuConfig(eps=0.03, beta=1.0, max_iters=5)
+    clamp = LmwuConfig(eps=0.5, beta=1e8, max_iters=200, floor=1e-6)
+    settings = [(3, None, resample)]
+    settings += [(n, None, clamp) for n in (3, 5, 7, 10)]
+    settings += [(12, (3, 9), cfg) for cfg in (resample, clamp)]
+    seeds = list(range(SEEDS_PER_CASE))
     cases = []
-    for n, cfg in settings:
+    for n, blocks, cfg in settings:
         g = rng.standard_normal((n, n))
-        objective = _quadratic(10.0 * (g + g.T), rng.standard_normal(n))
+        objective = _quadratic(10.0 * (g + g.T), rng.standard_normal(n), blocks)
+        init = np.concatenate([np.full(d, 1.0 / d) for d in blocks or (n,)])
         for method in Method:
-            cases.append(Case(-1, method, objective, np.full(n, 1.0 / n), cfg,
-                              list(range(SEEDS_PER_CASE))))
+            cases.append(Case(-1, method, objective, init, cfg, seeds))
+    steep = np.zeros(12)
+    steep[3] = 50.0
+    cases.append(Case(-1, Method.LINEAR_MWU,
+                      _quadratic(np.zeros((12, 12)), steep, (3, 9)),
+                      cases[-1].init, resample, seeds))
     return cases
 
 
-def test_float_steps_equal_the_numpy_loop(monkeypatch):
+def _outcome(run, expected, label) -> str:
+    """Check ``run`` (a trajectory or StepFailureError) against the NumPy
+    loop's ``expected`` bit for bit, and name what happened in it."""
+    if isinstance(run, StepFailureError):
+        assert isinstance(expected, StepFailureError), label
+        assert (str(run), run.iteration, run.block) == (
+            str(expected), expected.iteration, expected.block), label
+        return re.match(r"\w+", str(run)).group() + (
+            "" if run.block is None else f" in block {run.block}")
+    assert isinstance(expected, Trajectory), (label, str(expected))
+    for field in ("points", "f_values", "clamped", "resampled"):
+        assert (getattr(run, field).tobytes()
+                == getattr(expected, field).tobytes()), (label, field)
+    return ("clamped" if run.clamped.any() else
+            "resampled" if run.resampled.any() else "plain")
+
+
+def test_float_steps_equal_the_numpy_loop(references):
     # every point, value and flag bit for bit, or the same failure text at
-    # the same iteration, on each n <= 7 case and seed
-    float_runs = []
-    float_step = optimizers._float_step
-
-    def counted_float_step(*args):
-        float_runs.append(args)
-        return float_step(*args)
-
-    monkeypatch.setattr(optimizers, "_float_step", counted_float_step)
-    cases = [case for case in generate_cases() if case.objective.dim <= 7]
-    outcomes = []
-    runs = 0
-    for case in cases + branch_cases():
+    # the same iteration and block: on each generated case's runs (those of
+    # the references fixture, up to its first failing seed), and on the
+    # branch and two-block cases
+    outcomes = set()
+    for case, trajs, failure in references:
+        runs = trajs + ([failure] if failure is not None else [])
+        for seed, run in zip(case.seeds, runs):
+            expected = numpy_loop(case.method, case.objective, case.init,
+                                  replace(case.cfg, seed=seed))
+            outcomes.add(_outcome(run, expected, case.index))
+    for case in branch_cases():
         for seed in case.seeds:
-            runs += 1
             cfg = replace(case.cfg, seed=seed)
-            expected = numpy_loop(case.method, case.objective, case.init, cfg)
             try:
-                traj = run_optimizer(case.method, case.objective, case.init, cfg)
+                run = run_optimizer(case.method, case.objective, case.init, cfg)
             except StepFailureError as exc:
-                assert isinstance(expected, StepFailureError), case.index
-                assert (str(exc), exc.iteration) == (
-                    str(expected), expected.iteration), case.index
-                outcomes.append(re.match(r"\w+", str(exc)).group())
-                continue
-            assert isinstance(expected, Trajectory), (case.index, str(expected))
-            for field in ("points", "f_values", "clamped", "resampled"):
-                assert (getattr(traj, field).tobytes()
-                        == getattr(expected, field).tobytes()), (case.index, field)
-            outcomes.append("clamped" if traj.clamped.any() else
-                            "resampled" if traj.resampled.any() else "plain")
-    # the float path ran every run, and the runs reach each branch: plain
-    # runs, runs that resample but never clamp, runs that clamp, and each
-    # kind of step failure
-    assert len(float_runs) == runs
-    assert {"plain", "resampled", "clamped", "update", "iterate", "eps"} <= set(
-        outcomes)
+                run = exc
+            expected = numpy_loop(case.method, case.objective, case.init, cfg)
+            outcomes.add(_outcome(run, expected,
+                                  (case.method.value, case.objective.block_dims)))
+    # the runs reach each branch: plain runs, runs that resample but never
+    # clamp, runs that clamp, each kind of step failure, and a failure in
+    # the second block of a product
+    assert {"plain", "resampled", "clamped", "update", "iterate", "eps",
+            "eps in block 1"} <= outcomes

@@ -1,5 +1,7 @@
 """Unit tests for the simplex geometry primitives."""
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 from simplex_langevin.geometry import (
     DEFAULT_FLOOR,
     TangentVector,
+    _left_sum,
     barycenter,
     christoffel_drift,
     distance_sq_barycenter,
@@ -74,6 +77,26 @@ class TestSimplexPoint:
 
     def test_barycenter(self):
         assert_allclose(barycenter(4), np.full(4, 0.25), rtol=0, atol=0)
+
+
+def test_left_sum_adds_left_to_right_from_zero():
+    # the steps' one sum rule, bit for bit reduce(add, row, 0.0) at n = 1–16:
+    # on a float list, on a row and on each row of a stack. ndarray.sum adds
+    # pairwise from 8 values up and differs on some of these rows; a running
+    # sum from the first value would keep the −0.0 row at −0.0
+    rng = np.random.default_rng(5)
+    differs = 0
+    for n in range(1, 17):
+        rows = 10.0 ** rng.uniform(-3.0, 3.0, (50, n)) * rng.choice([-1.0, 1.0], (50, n))
+        rows = np.vstack([rows, np.full((1, n), -0.0)])
+        stacked = _left_sum(rows)
+        for k, row in enumerate(rows):
+            expected = np.float64(reduce(add, row.tolist(), 0.0)).tobytes()
+            for got in (_left_sum(row), stacked[k], _left_sum(row.tolist())):
+                assert np.float64(got).tobytes() == expected, (n, k)
+            differs += np.float64(row.sum()).tobytes() != expected
+    assert differs > 0
+    assert np.float64(_left_sum(np.array([-0.0, -0.0]))).tobytes() == b"\0" * 8
 
 
 class TestShahshahaniGradient:
@@ -295,6 +318,12 @@ class TestEuclideanProjection:
             euclidean_simplex_projection(np.array([np.nan, 0.5]))
         with pytest.raises(ValueError):
             euclidean_simplex_projection(np.zeros((2, 2)))
+
+    def test_rejects_input_too_large_for_a_threshold(self):
+        # u_1 − (u_1 − 1)/1 rounds to 0 at 1e16, so no k passes the test
+        with pytest.raises(ValueError, match="coordinates of magnitude "
+                           "1.000e[+]16 leave no projection threshold"):
+            euclidean_simplex_projection(np.array([1e16, 1.0, 2.0]))
 
 
 class TestLiftToInterior:

@@ -544,6 +544,23 @@ class TestRunChains:
                 run()
             assert info.value.iteration == 1
 
+    def test_unprojectable_proposal_fails_in_both_loops(self):
+        # coordinates near 1e17 round the projection's threshold test to 0
+        # for every k; both loops fail at iteration 1 with the same text
+        cfg = LmwuConfig(eps=1e17, beta=1.0, max_iters=3)
+        errors = []
+        for run in (lambda: run_optimizer("proj-langevin", benchmark("f1"),
+                                          [0.3, 0.6, 0.1], cfg),
+                    lambda: run_chains("proj-langevin", benchmark("f1"),
+                                       [0.3, 0.6, 0.1], cfg, [0, 1])):
+            with pytest.raises(StepFailureError,
+                               match="Langevin proposal cannot be projected: "
+                                     "coordinates of magnitude") as info:
+                run()
+            assert info.value.iteration == 1
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("method, obj, init, cfg, message", [
         ("linear-mwu", linear_objective([5.0, -5.0]), [0.5, 0.5],
          LmwuConfig(eps=1.0, beta=1.0, max_iters=3),

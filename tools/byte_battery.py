@@ -76,6 +76,11 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("sweep-returns-equal", [
         "sweep", "--returns", PANEL, "--preset", "equal", "--method", "lmwu",
         "--samples", "8"]))
+    # chains of the other methods at n = 10, one float step per chain
+    for method in ("exp-mwu", "proj-langevin"):
+        runs.append((f"sweep-returns-equal-{method}", [
+            "sweep", "--returns", PANEL, "--preset", "equal", "--method", method,
+            "--samples", "8"]))
     runs.append(("noise-check-f1", [
         "noise-check", "--objective", "f1", "--init", "paper", "--out", "."]))
     runs.append(("noise-check-f5", [
@@ -102,6 +107,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"fail-optimize-f1-{method}-eps{eps}", [
             "optimize", "--objective", "f1", "--method", method, "--eps", eps,
             "--iters", "100"]))
+    # a Langevin proposal too large for the projection to find a threshold
+    runs.append(("fail-optimize-f1-proj-langevin-eps1e17", [
+        "optimize", "--objective", "f1", "--method", "proj-langevin",
+        "--eps", "1e17", "--iters", "3"]))
     runs.append(("fail-portfolio-linear-mwu-eps1000", [
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
