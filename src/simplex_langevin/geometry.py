@@ -9,6 +9,7 @@ Euclidean projection used by the projected-Langevin baseline.
 
 All functions operate on plain 1-D float64 numpy arrays; ``christoffel_drift``
 and ``shahshahani_gradient`` also take (K, n) stacks of points, row by row.
+Their floor repair, ``_pin_floor``, works on the float lists the steps hold.
 """
 from __future__ import annotations
 
@@ -227,9 +228,9 @@ def sample_noise(
     return drift + scale * rng.standard_normal(shape)
 
 
-def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:
-    """Repair floor violations exactly: pin violating coordinates at the
-    floor and rescale the rest so the total stays 1.
+def _pin_floor(y: list, floor: float) -> list:
+    """Repair floor violations of a float list exactly: pin violating
+    coordinates at the floor and rescale the rest so the total stays 1.
 
     Rescaling can push further coordinates under the floor, so the pinned
     set grows until stable (at most n passes). Keeping the pinned values
@@ -237,17 +238,18 @@ def _pin_floor(y: np.ndarray, floor: float) -> np.ndarray:
     them again — leaves the sum within a few ulp of 1 no matter how much
     negative mass the input carried.
     """
-    low = y < floor
+    low = [v < floor for v in y]
     while True:
-        free = ~low
-        budget = 1.0 - floor * int(low.sum())
-        if budget <= 0.0 or not free.any():
-            raise _no_room(floor, y.size)
-        z = np.where(low, floor, y * (budget / _left_sum(y[free])))
-        grown = (z < floor) & free
-        if not grown.any():
+        count = sum(low)
+        budget = 1.0 - floor * count
+        if budget <= 0.0 or count == len(y):
+            raise _no_room(floor, len(y))
+        scale = budget / _left_sum([v for v, pinned in zip(y, low) if not pinned])
+        z = [floor if pinned else v * scale for v, pinned in zip(y, low)]
+        grown = [pinned or v < floor for v, pinned in zip(z, low)]
+        if grown == low:
             return z
-        low |= grown
+        low = grown
 
 
 def normalize_retraction(
@@ -273,7 +275,7 @@ def normalize_retraction(
     y = raw / total
     clamped = bool(y.min() < floor)
     if clamped:
-        y = _pin_floor(y, floor)
+        y = np.array(_pin_floor(y.tolist(), floor))
     return y, clamped
 
 
@@ -320,4 +322,4 @@ def lift_to_interior(x: np.ndarray, *, floor: float = DEFAULT_FLOOR) -> np.ndarr
     x = np.asarray(x, dtype=float)
     if x.min() >= floor:
         return x
-    return _pin_floor(x, floor)
+    return np.array(_pin_floor(x.tolist(), floor))

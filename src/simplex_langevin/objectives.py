@@ -42,7 +42,8 @@ class Objective:
     ``value`` and ``gradient`` are derived from it, so each of them also
     pays for the other. ``known_optimum`` is an optional (point, value)
     pair. Evaluation raises ValueError on a point that is not a
-    ``dim``-vector, and on an ``fn`` gradient that is not one.
+    ``dim``-vector, and on an ``fn`` gradient that is not one. f1–f6 and the
+    portfolio loss are written on float lists, and their ``fn`` derived.
     """
 
     name: str
@@ -75,27 +76,51 @@ class Objective:
         """(K,) values and (K, dim) gradients at the K rows of ``points``.
 
         Row k is bit-identical to ``value_and_grad(points[k])``: f1 and f2
-        are evaluated in one vectorized pass, every other ``fn`` row by row.
+        are evaluated in one vectorized pass, every other ``fn`` row by row
+        through its float form, from one ``tolist()`` of the stack.
         """
         p = np.asarray(points, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.dim:
             raise ValueError(
                 f"{self.name} expects a (K, {self.dim}) array, got {p.shape}"
             )
-        rows_fn = _ROWS_FNS.get(self.fn)
-        if rows_fn is not None:
-            return rows_fn(p)
+        if isinstance(self.fn, _OnFloats) and self.fn.rows is not None:
+            return self.fn.rows(p)
+        on_floats = self._on_floats()
         values = np.empty(p.shape[0])
         grads = np.empty(p.shape)
-        for k, row in enumerate(p):
-            values[k], grads[k] = self.value_and_grad(row)
+        for k, row in enumerate(p.tolist()):
+            values[k], grads[k] = on_floats(row)
         return values, grads
+
+    def _on_floats(self):
+        """``x -> (value, gradient list)`` on a float list, with the bits of
+        ``value_and_grad``, which any ``fn`` not written on floats goes
+        through, shape checks and all."""
+        return self.fn.floats if isinstance(self.fn, _OnFloats) else self._listed
+
+    def _listed(self, x: list) -> tuple[float, list]:
+        value, grad = self.value_and_grad(x)
+        return value, grad.tolist()
 
     def value(self, point) -> float:
         return self.value_and_grad(point)[0]
 
     def gradient(self, point) -> np.ndarray:
         return self.value_and_grad(point)[1]
+
+
+@dataclass(frozen=True)
+class _OnFloats:
+    """An ``fn`` written on float lists, ``floats(x) -> (value, gradient
+    list)``, and its (K, n) form ``rows`` where one exists."""
+
+    floats: Callable[[list], tuple[float, list]]
+    rows: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+
+    def __call__(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = self.floats(p.tolist())
+        return value, np.array(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +132,18 @@ def _double_well(qa, ca, qb, cb, shift):
     quadratic exponents a = −Σ qa_i (p_i − ca_i)² and b likewise; its gradient
     is −(w_a ∇a + w_b ∇b) + e_2 for the softmax weights w.
 
-    Returns the one-point form p -> (value, grad), on Python floats like
-    f3–f6, and the (K, 3) form, which does the same operations in the same
-    order on each row: NumPy adds a row's three terms left to right from 0.0,
-    and no term is −0. exp and log stay ``math`` calls per row there: NumPy's
-    vectorized exp and log may round differently. A zero ``shift`` changes no
-    value: a sum is −0 only when both addends are, and p_2 is a simplex
-    coordinate.
+    Returns the ``fn``, written on Python floats like f3–f6, with its (K, 3)
+    form, which does the same operations in the same order on each row:
+    NumPy adds a row's three terms left to right from 0.0, and no term is
+    −0. exp and log stay ``math`` calls per row there: NumPy's vectorized
+    exp and log may round differently. A zero ``shift`` changes no value: a
+    sum is −0 only when both addends are, and p_2 is a simplex coordinate.
     """
     (qa0, qa1, qa2), (ca0, ca1, ca2), (qb0, qb1, qb2), (cb0, cb1, cb2) = (
         t.tolist() for t in (qa, ca, qb, cb))
 
     def one(p):
-        x0, x1, x2 = p.tolist()
+        x0, x1, x2 = p
         a0, a1, a2 = x0 - ca0, x1 - ca1, x2 - ca2
         b0, b1, b2 = x0 - cb0, x1 - cb1, x2 - cb2
         a = -(qa0 * a0 * a0 + qa1 * a1 * a1 + qa2 * a2 * a2)
@@ -132,7 +156,7 @@ def _double_well(qa, ca, qb, cb, shift):
         grad = [wa * (2.0 * qa0 * a0) + wb * (2.0 * qb0 * b0),
                 wa * (2.0 * qa1 * a1) + wb * (2.0 * qb1 * b1) + 1.0,
                 wa * (2.0 * qa2 * a2) + wb * (2.0 * qb2 * b2)]
-        return -(m + math.log(s)) + x1 + shift, np.array(grad)
+        return -(m + math.log(s)) + x1 + shift, grad
 
     def rows(p):
         da = p - ca
@@ -149,7 +173,7 @@ def _double_well(qa, ca, qb, cb, shift):
         grad[:, 1] += 1.0
         return value + p[:, 1] + shift, grad
 
-    return one, rows
+    return _OnFloats(one, rows)
 
 
 _F1_QA = np.array([10.0, 20.0, 30.0])
@@ -161,17 +185,12 @@ _F2_CA = np.array([0.4, 0.4, 0.2])
 _F2_QB = np.array([3.0, 2.0, 6.0])
 _F2_CB = np.array([0.4, 0.2, 0.4])
 
-# the one-point and (K, n) forms of f1 and f2
 _F1 = _double_well(_F1_QA, _F1_CA, _F1_QB, _F1_CB, 10.0)
 _F2 = _double_well(_F2_QA, _F2_CA, _F2_QB, _F2_CB, 0.0)
 
-# the vectorized (K, n) form of an ``fn``, where one exists; used by
-# Objective.values_and_grads
-_ROWS_FNS = dict((_F1, _F2))
 
-
-def _f3(p: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y, z = p.tolist()
+def _f3(p) -> tuple[float, list]:
+    x, y, z = p
     value = ((x - 0.3) ** 2 * (x - 0.9) ** 2
              + (y - 0.2) ** 2 * (y - 0.7) ** 2
              + (z - 0.6) ** 2 * (z - 0.1) ** 2
@@ -179,11 +198,11 @@ def _f3(p: np.ndarray) -> tuple[float, np.ndarray]:
     gx = 2.0 * (x - 0.3) * (x - 0.9) ** 2 + 2.0 * (x - 0.3) ** 2 * (x - 0.9) + (y - 0.5)
     gy = 2.0 * (y - 0.2) * (y - 0.7) ** 2 + 2.0 * (y - 0.2) ** 2 * (y - 0.7) + (x - 0.3)
     gz = 2.0 * (z - 0.6) * (z - 0.1) ** 2 + 2.0 * (z - 0.6) ** 2 * (z - 0.1)
-    return value, np.array([gx, gy, gz])
+    return value, [gx, gy, gz]
 
 
-def _f4(p: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y, z = p.tolist()
+def _f4(p) -> tuple[float, list]:
+    x, y, z = p
     value = (-((x - 0.6) ** 2) * (x - 0.2) ** 2
              + (y - 0.3) * (y - 0.4) ** 3
              + (z - 0.2) ** 3 * (z - 0.8)
@@ -191,11 +210,11 @@ def _f4(p: np.ndarray) -> tuple[float, np.ndarray]:
     gx = -(2.0 * (x - 0.6) * (x - 0.2) ** 2 + 2.0 * (x - 0.6) ** 2 * (x - 0.2)) - y
     gy = (y - 0.4) ** 3 + 3.0 * (y - 0.3) * (y - 0.4) ** 2 - x
     gz = 3.0 * (z - 0.2) ** 2 * (z - 0.8) + (z - 0.2) ** 3 - 0.4
-    return value, np.array([gx, gy, gz])
+    return value, [gx, gy, gz]
 
 
-def _f5(p: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y, z, w, v = p.tolist()
+def _f5(p) -> tuple[float, list]:
+    x, y, z, w, v = p
     value = ((x - 0.6) ** 2 * (x - 0.2) ** 2 - x * y
              + (y - 0.3) ** 2 * (y - 0.4) ** 2
              + (z - 0.2) ** 4 - 0.5 * z * w
@@ -205,11 +224,11 @@ def _f5(p: np.ndarray) -> tuple[float, np.ndarray]:
     gz = 4.0 * (z - 0.2) ** 3 - 0.5 * w
     gw = -0.5 * z + 4.0 * (w - 0.5) ** 3
     gv = 4.0 * (v - 0.3) ** 3
-    return value, np.array([gx, gy, gz, gw, gv])
+    return value, [gx, gy, gz, gw, gv]
 
 
-def _f6(p: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y, z, w, v, h = p.tolist()
+def _f6(p) -> tuple[float, list]:
+    x, y, z, w, v, h = p
     value = ((x - 0.6) ** 2 * (x - 0.8)
              + (y - 0.9) * (y - 0.4) ** 2
              + (z - 0.2) ** 2
@@ -221,7 +240,7 @@ def _f6(p: np.ndarray) -> tuple[float, np.ndarray]:
     gw = 2.0 * (w - 0.5) - 0.5 * v
     gv = 2.0 * (v - 0.6) - 0.5 * w
     gh = 2.0 * (h - 0.5)
-    return value, np.array([gx, gy, gz, gw, gv, gh])
+    return value, [gx, gy, gz, gw, gv, gh]
 
 
 # Published optimum locations, to the four decimals they were published with.
@@ -253,12 +272,12 @@ _CERTIFIED_OPTIMA = {
 }
 
 _TEST_FUNCTIONS: dict[str, tuple[Callable, int]] = {
-    "f1": (_F1[0], 3),
-    "f2": (_F2[0], 3),
-    "f3": (_f3, 3),
-    "f4": (_f4, 3),
-    "f5": (_f5, 5),
-    "f6": (_f6, 6),
+    "f1": (_F1, 3),
+    "f2": (_F2, 3),
+    "f3": (_OnFloats(_f3), 3),
+    "f4": (_OnFloats(_f4), 3),
+    "f5": (_OnFloats(_f5), 5),
+    "f6": (_OnFloats(_f6), 6),
 }
 
 TEST_FUNCTION_IDS = tuple(_TEST_FUNCTIONS)
@@ -370,7 +389,7 @@ def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     return np.array(_moments(loss, w, loss.order)[0])
 
 
-def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple[float, np.ndarray]:
+def _portfolio_value_and_grad(loss: PortfolioLoss, w: list) -> tuple[float, list]:
     """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``.
 
     ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
@@ -385,12 +404,12 @@ def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple[float, np.ndarray
     for coef_k, m_k in zip(coef, m):
         value += coef_k * m_k
     if loss._top == 1:
-        return value, loss._mean_grad.copy()
+        return value, loss._mean_grad.tolist()
     t_count = powers[0].size
     terms = [(coef[k - 1] * k / t_count) * powers[k - 2]
              for k in range(2, loss._top + 1) if coef[k - 1] != 0.0]
     series = sum(terms[1:], terms[0])
-    return value, loss._mean_grad + series @ loss._centred
+    return value, (loss._mean_grad + series @ loss._centred).tolist()
 
 
 def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objective:
@@ -399,7 +418,7 @@ def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objecti
         name=name,
         dim=loss.n_assets,
         block_dims=(loss.n_assets,),
-        fn=lambda p: _portfolio_value_and_grad(loss, p),
+        fn=_OnFloats(lambda w: _portfolio_value_and_grad(loss, w)),
     )
 
 

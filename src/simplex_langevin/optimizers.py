@@ -348,14 +348,14 @@ class _BlockLayout:
 
     def step(self, method: Method, cfg: LmwuConfig, seed: int):
         """``method``'s step over every block, each block on its own stream
-        of ``seed``: ``(x, grad) -> (point, clamped, resampled)``, the point
-        a float list. A single block gets its float step as it is."""
+        of ``seed``: ``(x, grad) -> (point, clamped, resampled)`` on float
+        lists. A single block gets its float step as it is."""
         steps = [_float_step(method, cfg, rng, s.stop - s.start)
                  for s, rng in zip(self.slices, self.rngs(seed))]
         if len(steps) == 1:
             return steps[0]
 
-        def blocks_step(x: np.ndarray, grad: np.ndarray):
+        def blocks_step(x: list, grad: list):
             out = []
             clamped = resampled = False
             for b, (s, step) in enumerate(zip(self.slices, steps)):
@@ -382,16 +382,17 @@ def _off_simplex_error(point: np.ndarray) -> StepFailureError:
 def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
                 n: int):
     """``method``'s step on one simplex of ``n`` coordinates, with the
-    per-step simplex check: ``(x, grad) -> (point, clamped, resampled)``,
-    the point a float list.
+    per-step simplex check: ``(x, grad) -> (point, clamped, resampled)``
+    on float lists.
 
     It does the public NumPy step's operations in the same order on Python
     floats, so it gives the same bits: every sum goes through
     ``_left_sum``, ``sqrt`` is correctly rounded, ``exp-mwu`` keeps NumPy's
     ``exp``, and the normals come from ``rng`` in blocks in the order
-    ``rng.standard_normal(n)`` gives them. A point below the floor, a
-    multiplier <= 0 or a value that is not finite goes to the NumPy code,
-    which clamps, lifts or raises as it does there.
+    ``rng.standard_normal(n)`` gives them. The clamp and the lift call
+    ``_pin_floor`` as the NumPy steps do. A start below the floor, a
+    multiplier <= 0, an ``exp-mwu`` sum of 0 and a Langevin proposal that is
+    not finite or has no threshold go to the NumPy code, which raises.
     """
     eps, beta, floor = cfg.eps, cfg.beta, cfg.floor
     drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
@@ -414,8 +415,7 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
         point = [v / total for v in numer]
         if min(point) >= floor:
             return point, False, attempt > 0
-        point, clamped = normalize_retraction(np.array(numer), floor=floor)
-        return point.tolist(), clamped, attempt > 0
+        return _pin_floor(point, floor), True, attempt > 0
 
     def linear_mwu(x, g):
         mult = [1.0 - eps * gv for gv in g]
@@ -443,16 +443,17 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
         if rho and all(map(math.isfinite, y)):
             theta = (css[rho[-1]] - 1.0) / (rho[-1] + 1.0)
             point = [max(v - theta, 0.0) for v in y]
-            if min(point) >= floor:
-                return point, False, False
+            if min(point) < floor:
+                point = _pin_floor(point, floor)
+            return point, False, False
         return _project_proposal(np.array(y), floor).tolist(), False, False
 
     step = {Method.LMWU: lmwu, Method.LINEAR_MWU: linear_mwu,
             Method.EXP_MWU: exp_mwu, Method.PROJECTED_LANGEVIN: proj_langevin,
             }[method]
 
-    def checked_step(x: np.ndarray, grad: np.ndarray):
-        point, clamped, resampled = step(x.tolist(), grad.tolist())
+    def checked_step(x: list, grad: list):
+        point, clamped, resampled = step(x, grad)
         if abs(_left_sum(point) - 1.0) <= SUM_TOL and min(point) > 0.0:
             return point, clamped, resampled
         raise _off_simplex_error(np.array(point))
@@ -497,8 +498,8 @@ def run_optimizer(
     it. The objective is evaluated once per iterate: its value is recorded
     and its gradient drives the next step. Runs are deterministic in
     (method, objective, init, cfg): stochastic methods derive one RNG
-    substream per simplex block from ``cfg.seed``. Each block steps on
-    floats, with the bits of the public NumPy step.
+    substream per simplex block from ``cfg.seed``. Steps and objective run
+    on float lists, with the bits of the public NumPy step.
 
     Raises:
         StepFailureError: a step could not produce a point; carries the
@@ -512,16 +513,19 @@ def run_optimizer(
     f_values = np.empty(k_max + 1)
     clamped = np.zeros(k_max + 1, dtype=bool)
     resampled = np.zeros(k_max + 1, dtype=bool)
+    evaluate = objective._on_floats()
     points[0] = x
-    f_values[0], grad = objective.value_and_grad(x)
+    x = x.tolist()
+    f_values[0], grad = evaluate(x)
 
     for k in range(1, k_max + 1):
         try:
-            points[k], clamped[k], resampled[k] = step(points[k - 1], grad)
+            x, clamped[k], resampled[k] = step(x, grad)
         except StepFailureError as exc:
             exc.iteration = k
             raise
-        f_values[k], grad = objective.value_and_grad(points[k])
+        points[k] = x
+        f_values[k], grad = evaluate(x)
     return Trajectory(points, f_values, clamped, resampled)
 
 
@@ -587,7 +591,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     m = int(failed[0]) if failed.size else len(x)
     points = numer[:m] / total[:m, None]
     for k in np.flatnonzero(points.min(axis=-1) < floor):
-        points[k] = _pin_floor(points[k], floor)
+        points[k] = _pin_floor(points[k].tolist(), floor)
     failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
     off = np.flatnonzero(_left_simplex(points))
     if off.size:
@@ -602,9 +606,9 @@ def _float_rows(steps):
 
     def rows_step(x, grad):
         out = np.empty_like(x)
-        for k in range(len(x)):
+        for k, (x_k, grad_k) in enumerate(zip(x.tolist(), grad.tolist())):
             try:
-                out[k] = steps[k](x[k], grad[k])[0]
+                out[k] = steps[k](x_k, grad_k)[0]
             except StepFailureError as exc:
                 return out[:k], (k, exc)
         return out, None

@@ -283,3 +283,51 @@ def test_float_steps_equal_the_numpy_loop(references):
     # the second block of a product
     assert {"plain", "resampled", "clamped", "update", "iterate", "eps",
             "eps in block 1"} <= outcomes
+
+
+def test_clamp_and_lift_stay_on_floats(monkeypatch):
+    # the forced-clamp cases on one simplex: the lmwu clamp and the
+    # proj-langevin lift repair the float point in place, in run_optimizer
+    # and in run_chains, and never hand it to the NumPy step's
+    # normalize_retraction or _project_proposal; the runs still equal the
+    # NumPy loop bit for bit, which does call them
+    cases = [case for case in branch_cases()
+             if case.cfg.floor == 1e-6 and len(case.objective.block_dims) == 1]
+    expected = [[numpy_loop(case.method, case.objective, case.init,
+                            replace(case.cfg, seed=seed)) for seed in case.seeds]
+                for case in cases]
+
+    def handed_to_numpy(*args, **kwargs):
+        raise AssertionError("a float step handed its point to the NumPy step")
+
+    monkeypatch.setattr(optimizers, "normalize_retraction", handed_to_numpy)
+    monkeypatch.setattr(optimizers, "_project_proposal", handed_to_numpy)
+    repaired = set()
+    for case, refs in zip(cases, expected):
+        label = (case.method.value, case.objective.dim)
+        for seed, ref in zip(case.seeds, refs):
+            try:
+                run = run_optimizer(case.method, case.objective, case.init,
+                                    replace(case.cfg, seed=seed))
+            except StepFailureError as exc:
+                run = exc
+            _outcome(run, ref, label)
+            if isinstance(ref, Trajectory) and (
+                    ref.clamped.any() or (ref.points == case.cfg.floor).any()):
+                repaired.add(case.method)
+        failed = [ref for ref in refs if isinstance(ref, StepFailureError)]
+        if failed:
+            with pytest.raises(StepFailureError) as info:
+                run_chains(case.method, case.objective, case.init, case.cfg,
+                           case.seeds)
+            assert (str(info.value), info.value.iteration) == (
+                str(failed[0]), failed[0].iteration), label
+            continue
+        ends = run_chains(case.method, case.objective, case.init, case.cfg,
+                          case.seeds)
+        for k, ref in enumerate(refs):
+            assert ends.final_points[k].tobytes() == ref.points[-1].tobytes(), label
+            assert ends.final_f[k] == ref.final_f, label
+            assert ends.best_f[k] == ref.best_f, label
+    # lmwu clamps, and proj-langevin lifts a coordinate to the floor
+    assert {Method.LMWU, Method.PROJECTED_LANGEVIN} <= repaired

@@ -11,6 +11,7 @@ from simplex_langevin.geometry import (
     DEFAULT_FLOOR,
     TangentVector,
     _left_sum,
+    _pin_floor,
     barycenter,
     christoffel_drift,
     distance_sq_barycenter,
@@ -274,6 +275,80 @@ class TestNormalizeRetraction:
     def test_floor_too_large_for_dimension(self):
         with pytest.raises(ValueError, match="too large for dimension 4"):
             normalize_retraction(np.array([1e-9, 1e-9, 1.0, 1e-9]), floor=0.4)
+
+
+def numpy_pin_floor(y, floor):
+    """The NumPy floor repair that the float ``_pin_floor`` replaced, kept as
+    its reference: the same passes on an array. Returns the point and the
+    number of passes it took."""
+    low = y < floor
+    passes = 0
+    while True:
+        passes += 1
+        free = ~low
+        budget = 1.0 - floor * int(low.sum())
+        if budget <= 0.0 or not free.any():
+            raise ValueError(f"floor {floor:.3e} is too large for dimension {y.size}")
+        z = np.where(low, floor,
+                     y * (budget / (np.add.accumulate(y[free])[-1] + 0.0)))
+        grown = (z < floor) & free
+        if not grown.any():
+            return z, passes
+        low |= grown
+
+
+def pin_floor_inputs():
+    """Seeded points summing to 1 at n = 2–16: negative mass, coordinates
+    under the floor, −0.0, and coordinates just above the floor, which a
+    rescale pushes under it, pass after pass when the floor is large."""
+    rng = np.random.default_rng(59)
+    for n in range(2, 17):
+        for i in range(60):
+            floor = (10.0 ** rng.uniform(-12.0, -2.0) if i % 2
+                     else rng.uniform(0.1, 0.9) / n)
+            kinds = rng.choice(5, n, p=[0.15, 0.15, 0.4, 0.1, 0.2])
+            kinds[rng.integers(n)] = 4  # at least one coordinate keeps the mass
+            y = np.empty(n)
+            y[kinds == 0] = -rng.uniform(0.0, 0.2, (kinds == 0).sum()) / n
+            y[kinds == 1] = floor * rng.uniform(0.0, 1.0, (kinds == 1).sum())
+            y[kinds == 2] = floor * (
+                1.0 + 10.0 ** rng.uniform(-4.0, -0.5, (kinds == 2).sum()))
+            y[kinds == 3] = -0.0
+            mass = kinds == 4
+            y[mass] = rng.dirichlet(np.ones(mass.sum())) * (1.0 - y[~mass].sum())
+            yield y, floor
+
+
+def test_pin_floor_equals_the_numpy_repair_bit_for_bit():
+    passes = []
+    negative = signed_zero = 0
+    for y, floor in pin_floor_inputs():
+        negative += bool((y < 0.0).any())
+        signed_zero += bool((np.signbit(y) & (y == 0.0)).any())
+        try:
+            expected, used = numpy_pin_floor(y, floor)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _pin_floor(y.tolist(), floor)
+            assert str(info.value) == str(exc)
+            continue
+        got = _pin_floor(y.tolist(), floor)
+        assert type(got) is list
+        assert np.array(got).tobytes() == expected.tobytes()
+        passes.append(used)
+    # the pinned set grows in a second pass, and in a third
+    assert len(passes) == 15 * 60 and negative > 300 and signed_zero > 300
+    assert sum(p == 2 for p in passes) > 100 and sum(p == 3 for p in passes) > 10
+
+
+def test_pin_floor_without_room_raises_the_floor_text():
+    y = np.array([1e-9, 1e-9, 1.0 - 3e-9, 1e-9])
+    with pytest.raises(ValueError) as expected:
+        numpy_pin_floor(y, 0.4)
+    with pytest.raises(ValueError, match="floor 4.000e-01 is too large for "
+                       "dimension 4") as info:
+        _pin_floor(y.tolist(), 0.4)
+    assert str(info.value) == str(expected.value)
 
 
 class TestEuclideanProjection:

@@ -16,6 +16,7 @@ from simplex_langevin.objectives import (
 from simplex_langevin.objectives import (
     _F1_CA, _F1_CB, _F1_QA, _F1_QB, _F2_CA, _F2_CB, _F2_QA, _F2_QB,
     _LISTED_OPTIMA,
+    _OnFloats,
 )
 from simplex_langevin.objectives import test_function as benchmark
 from simplex_langevin.portfolio import RISK_PRESETS
@@ -277,10 +278,36 @@ def test_values_and_grads_rows_equal_value_and_grad(name):
     assert values.shape == (len(points),) and grads.shape == points.shape
     for k, p in enumerate(points):
         value, grad = obj.value_and_grad(p)
-        assert values[k] == value
-        assert np.array_equal(grads[k], grad)
+        assert values[k:k + 1].tobytes() == np.float64(value).tobytes()
+        assert grads[k].tobytes() == grad.tobytes()
     with pytest.raises(ValueError, match=rf"expects a \(K, {n}\) array"):
         obj.values_and_grads(points[:, 1:])
+
+
+@pytest.mark.parametrize(
+    "name", TEST_FUNCTION_IDS + tuple(f"portfolio-{p}" for p in RISK_PRESETS))
+def test_float_form_gives_the_bits_of_value_and_grad(name):
+    # f1–f6 and the portfolio loss are written on float lists, and the run
+    # loops evaluate that form: at seeded Dirichlet points, and at the
+    # certified optimum of f1–f6, it gives value_and_grad's bits
+    rng = np.random.default_rng(13)
+    if name.startswith("portfolio-"):
+        preset = RISK_PRESETS[name.removeprefix("portfolio-")]
+        obj = portfolio_objective(
+            PortfolioLoss(rng.normal(0.001, 0.03, (60, 10)), preset.lambdas))
+        points = []
+    else:
+        obj = benchmark(name)
+        points = [obj.known_optimum[0]]
+    assert isinstance(obj.fn, _OnFloats)
+    on_floats = obj._on_floats()
+    points += list(rng.dirichlet(np.full(obj.dim, 0.5), size=200))
+    for p in points:
+        value, grad = obj.value_and_grad(p)
+        got_value, got_grad = on_floats(p.tolist())
+        assert type(got_value) is float and type(got_grad) is list
+        assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+        assert np.array(got_grad).tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("grad", [0.5, [0.1, 0.2], [[0.1, 0.2, 0.3]]])

@@ -310,6 +310,18 @@ class TestRunOptimizer:
         assert len(points) == cfg.max_iters + 1
         assert np.array_equal(np.array(points), traj.points)
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_gradient_of_the_wrong_length_fails_the_run(self, method):
+        # a user fn is evaluated through value_and_grad and its shape checks,
+        # though the loops pass the point on as a float list
+        obj = Objective(name="short-grad", dim=3, block_dims=(3,),
+                        fn=lambda p: (float(p.sum()), np.zeros(2)))
+        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=5)
+        with pytest.raises(ValueError, match=r"short-grad gradient has shape \(2,\)"):
+            run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
+        with pytest.raises(ValueError, match=r"short-grad gradient has shape \(2,\)"):
+            run_chains(method, obj, [0.3, 0.6, 0.1], cfg, [0, 1])
+
     def test_step_size_error_propagates(self):
         obj = linear_objective([5.0, -5.0])
         cfg = LmwuConfig(eps=1.0, beta=1.0, max_iters=3)

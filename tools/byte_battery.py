@@ -93,6 +93,12 @@ def invocations() -> list[tuple[str, list[str]]]:
     for fid, method in (("f3", "lmwu"), ("f5", "lmwu"), ("f3", "proj-langevin")):
         runs.append((f"clamp-optimize-{fid}-{method}", [
             "optimize", "--objective", fid, "--method", method, *clamp]))
+    # the same through the batched chains: the pin of the lmwu rows and the
+    # floor lift of each proj-langevin chain
+    for fid, method in (("f3", "lmwu"), ("f5", "proj-langevin")):
+        runs.append((f"clamp-sweep-{fid}-{method}", [
+            "sweep", "--objective", fid, "--method", method, "--samples", "8",
+            *clamp]))
     # known failures and a usage error: their messages and exit codes count
     runs.append(("fail-optimize-f1-lmwu-beta10", [
         "optimize", "--objective", "f1", "--init", "paper", "--method", "lmwu",
