@@ -10,8 +10,9 @@ Four update rules over (products of) probability simplices:
   projection (baseline).
 
 ``run_optimizer`` drives any of them for a fixed iteration count, recording
-every iterate; ``run_chains`` runs one chain per seed as one array and keeps
-only where each ended; ``theoretical_step_bound`` and
+every iterate; ``run_chains`` keeps only where each seed's chain ended,
+advancing ``lmwu`` chains as one array (``_lmwu_rows``, whose one-row case
+is ``lmwu_step``); ``theoretical_step_bound`` and
 ``theoretical_iteration_budget`` evaluate the convergence-guarantee formulas
 for a given constant bundle.
 """
@@ -37,7 +38,7 @@ from .geometry import (
     euclidean_simplex_projection,
     exp_map,
     lift_to_interior,
-    normalize_retraction,
+    normalize_retraction,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
     sample_noise,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
     shahshahani_gradient,
 )
@@ -241,37 +242,23 @@ def lmwu_step(
     A draw is rejected and resampled when the sum is <= floor or any
     numerator is nonpositive; after 16 extra draws the last numerator
     vector is clamped-and-renormalized instead (flagged), or, if its sum is
-    still degenerate, the step fails.
+    still degenerate, the step fails. It is :func:`_lmwu_rows` on one row,
+    each attempt drawing ``rng.standard_normal(n)``.
 
     Raises:
         StepFailureError: resample budget exhausted with the component sum
-            still <= floor.
+            still <= floor, or a point off the simplex (an accepted +inf
+            numerator, as a −inf gradient coordinate gives).
     """
     x = np.asarray(x, dtype=float)
-    base, drift, scale = _lmwu_terms(x, grad, cfg)
-    for attempt in range(_RESAMPLE_LIMIT + 1):
-        numer = base + (drift + scale * rng.standard_normal(x.shape))
-        total = float(_left_sum(numer))
-        if total > cfg.floor and numer.min() > 0.0:
-            break
-    if not total > cfg.floor:
-        raise _denominator_failure(total)
-    # a draw kept past the budget has a numerator <= 0, which normalizes
-    # below the floor, so it comes back clamped
-    point, clamped = normalize_retraction(numer, floor=cfg.floor)
-    return StepResult(point, clamped, attempt > 0)
-
-
-def _lmwu_terms(x: np.ndarray, grad: np.ndarray, cfg: LmwuConfig):
-    """The parts of an ``lmwu`` numerator that are fixed at ``x`` (a point or
-    a (K, n) stack of points): ``base`` = x − ε·x∘g, the christoffel
-    ``drift`` and the noise ``scale`` √(2εβ⁻¹x). A draw z gives the
-    numerator ``base + (drift + scale * z)``, the ``base + sample_noise(...)``
-    of the same z."""
-    base = x - cfg.eps * shahshahani_gradient(x, grad)
-    drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=cfg.floor)
-    scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
-    return base, drift, scale
+    grad = np.asarray(grad, dtype=float)
+    if x.shape != grad.shape:
+        raise ValueError(f"dimension mismatch: point {x.shape} vs gradient {grad.shape}")
+    points, clamped, resampled, failure = _lmwu_rows(
+        x[None], grad[None], cfg, lambda rows: rng.standard_normal((rows.size, x.size)))
+    if failure is not None:
+        raise failure[1]
+    return StepResult(points[0], bool(clamped[0]), bool(resampled[0]))
 
 
 def _denominator_failure(total: float) -> StepFailureError:
@@ -569,19 +556,27 @@ class _Normals:
         return z
 
 
-def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
-    """:func:`lmwu_step` on each row of ``x``, with the same operations in
-    the same order; only rejected rows draw again."""
+def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
+    """One ``lmwu`` step on each row of ``x``; ``take(rows)`` gives the next
+    normal draw of each row in ``rows``, and only rejected rows draw again.
+    Returns the new points of the rows before the first row that failed,
+    their clamped and resampled masks, and that row's (index, error) or
+    None."""
     floor = cfg.floor
-    base, drift, scale = _lmwu_terms(x, grad, cfg)
-    numer = base + (drift + scale * normals.take(np.arange(len(x))))
+    # a draw z gives the numerator base + (drift + scale * z), the
+    # base + sample_noise(...) of the same z
+    base = x - cfg.eps * shahshahani_gradient(x, grad)
+    drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=floor)
+    scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
+    numer = base + (drift + scale * take(np.arange(len(x))))
     total = _left_sum(numer)
     ok = (total > floor) & (numer.min(axis=-1) > 0.0)
+    resampled = ~ok
     for _ in range(_RESAMPLE_LIMIT):
         rows = np.flatnonzero(~ok)
         if rows.size == 0:
             break
-        redraw = base[rows] + (drift[rows] + scale[rows] * normals.take(rows))
+        redraw = base[rows] + (drift[rows] + scale[rows] * take(rows))
         numer[rows] = redraw
         total[rows] = _left_sum(redraw)
         ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
@@ -590,30 +585,15 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, normals: _Normals):
     failed = np.flatnonzero(~(total > floor))
     m = int(failed[0]) if failed.size else len(x)
     points = numer[:m] / total[:m, None]
-    for k in np.flatnonzero(points.min(axis=-1) < floor):
+    clamped = points.min(axis=-1) < floor
+    for k in np.flatnonzero(clamped):
         points[k] = _pin_floor(points[k].tolist(), floor)
     failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
     off = np.flatnonzero(_left_simplex(points))
     if off.size:
-        k = int(off[0])
-        return points[:k], (k, _off_simplex_error(points[k]))
-    return points, failure
-
-
-def _float_rows(steps):
-    """The one-point float step ``steps[k]`` of chain k applied to row k,
-    row by row."""
-
-    def rows_step(x, grad):
-        out = np.empty_like(x)
-        for k, (x_k, grad_k) in enumerate(zip(x.tolist(), grad.tolist())):
-            try:
-                out[k] = steps[k](x_k, grad_k)[0]
-            except StepFailureError as exc:
-                return out[:k], (k, exc)
-        return out, None
-
-    return rows_step
+        m = int(off[0])
+        failure = (m, _off_simplex_error(points[m]))
+    return points[:m], clamped[:m], resampled[:m], failure
 
 
 def run_chains(
@@ -623,13 +603,15 @@ def run_chains(
     cfg: LmwuConfig,
     seeds,
 ) -> ChainEnds:
-    """Run one chain of ``method`` per seed from ``init``, all advanced
-    together as one (K, n) array, and return where each ended.
+    """Run one chain of ``method`` per seed from ``init`` and return where
+    each ended.
 
     Chain k ends bit-identical to
     ``run_optimizer(method, objective, init, replace(cfg, seed=seeds[k]))``:
-    same final point, final value and lowest value. No per-step history is
-    kept; seeds run in slices of a fixed width.
+    same final point, final value and lowest value. ``lmwu`` chains advance
+    as one (K, n) array, in slices of a fixed width, with no per-step
+    history. A chain of another method is its seed's ``run_optimizer`` run,
+    so such a sweep holds one trajectory, (iters + 1)·(n + 1) floats.
 
     Raises:
         ValueError: an objective of several simplex blocks, no seeds, a
@@ -646,24 +628,22 @@ def run_chains(
     seeds = [replace(cfg, seed=s).seed for s in seeds]
     if not seeds:
         raise ValueError("run_chains needs at least one seed")
+    if method is not Method.LMWU:
+        runs = (run_optimizer(method, objective, x, replace(cfg, seed=s))
+                for s in seeds)
+        ends = [(t.final_point.copy(), t.final_f, t.best_f) for t in runs]
+        return ChainEnds(*(np.array(part) for part in zip(*ends)))
     ends = [
-        _run_slice(method, objective, x, cfg, layout, seeds[i:i + _CHAIN_SLICE])
+        _run_slice(objective, x, cfg, layout, seeds[i:i + _CHAIN_SLICE])
         for i in range(0, len(seeds), _CHAIN_SLICE)
     ]
     return ChainEnds(*(np.concatenate(part) for part in zip(*ends)))
 
 
-def _run_slice(method: Method, objective: Objective, init: np.ndarray,
-               cfg: LmwuConfig, layout: _BlockLayout, seeds: list[int]):
-    if method is Method.LMWU:
-        normals = _Normals([layout.rngs(s)[0] for s in seeds], init.size)
-
-        def step(x, grad):
-            return _lmwu_rows(x, grad, cfg, normals)
-    else:
-        step = _float_rows([layout.step(method, cfg, s) for s in seeds])
-    # step(x, grad) returns the new points of the rows before the first row
-    # that failed, and that row's (index, error) or None
+def _run_slice(objective: Objective, init: np.ndarray, cfg: LmwuConfig,
+               layout: _BlockLayout, seeds: list[int]):
+    """The ``lmwu`` chains of ``seeds`` advanced together as one array."""
+    normals = _Normals([layout.rngs(s)[0] for s in seeds], init.size)
     x = np.tile(init, (len(seeds), 1))
     f, grad = objective.values_and_grads(x)
     best = f.copy()
@@ -672,7 +652,7 @@ def _run_slice(method: Method, objective: Objective, init: np.ndarray,
     m = len(seeds)
     failure = None
     for k in range(1, cfg.max_iters + 1):
-        new, failed = step(x[:m], grad[:m])
+        new, _, _, failed = _lmwu_rows(x[:m], grad[:m], cfg, normals.take)
         if failed is not None:
             m, failure = failed
             failure.iteration = k

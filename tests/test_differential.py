@@ -288,9 +288,10 @@ def test_float_steps_equal_the_numpy_loop(references):
 def test_clamp_and_lift_stay_on_floats(monkeypatch):
     # the forced-clamp cases on one simplex: the lmwu clamp and the
     # proj-langevin lift repair the float point in place, in run_optimizer
-    # and in run_chains, and never hand it to the NumPy step's
-    # normalize_retraction or _project_proposal; the runs still equal the
-    # NumPy loop bit for bit, which does call them
+    # and in run_chains, and never hand it to normalize_retraction or
+    # _project_proposal; the runs still equal the NumPy loop bit for bit,
+    # whose lmwu_step repairs through _pin_floor inside _lmwu_rows and whose
+    # projected_langevin_step calls _project_proposal
     cases = [case for case in branch_cases()
              if case.cfg.floor == 1e-6 and len(case.objective.block_dims) == 1]
     expected = [[numpy_loop(case.method, case.objective, case.init,

@@ -152,6 +152,23 @@ class TestLmwuStep:
         b = lmwu_step(x, g, cfg, np.random.default_rng(77))
         assert np.array_equal(a.point, b.point)
 
+    def test_infinite_numerator_leaves_the_simplex(self):
+        # a −inf gradient coordinate makes an accepted numerator +inf, which
+        # normalizes to nan (inf / inf): the step fails as the run loops do
+        cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
+        with pytest.raises(StepFailureError) as info, np.errstate(invalid="ignore"):
+            lmwu_step(np.array([0.5, 0.5]), np.array([-np.inf, 0.0]), cfg,
+                      np.random.default_rng(0))
+        assert str(info.value) == (
+            "iterate left the simplex (block sum nan, min coord nan)")
+
+    def test_gradient_of_another_shape_is_rejected(self):
+        cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
+        with pytest.raises(ValueError) as info:
+            lmwu_step(np.array([0.3, 0.6, 0.1]), np.zeros(2), cfg,
+                      np.random.default_rng(0))
+        assert str(info.value) == "dimension mismatch: point (3,) vs gradient (2,)"
+
 
 class TestProjectedLangevinStep:
     def test_hand_value_with_collapsed_noise(self):
@@ -505,6 +522,37 @@ class TestRunChains:
         monkeypatch.setattr(optimizers, "_NORMAL_BLOCK", 8)
         obj, init, cfg = chain_case("portfolio")
         assert_chains_match_runs("lmwu", obj, init, cfg, range(7))
+
+    # 260 seeds span two slices of _CHAIN_SLICE = 256 chains
+    SLICE_SEEDS = range(660, 920)
+
+    def test_chains_on_both_sides_of_a_slice_edge(self):
+        obj, init, cfg = chain_case("f1")
+        cfg = replace(cfg, max_iters=20)
+        ends = run_chains("lmwu", obj, init, cfg, self.SLICE_SEEDS)
+        for k in (0, 255, 256, 259):
+            traj = run_optimizer("lmwu", obj, init,
+                                 replace(cfg, seed=self.SLICE_SEEDS[k]))
+            assert np.array_equal(ends.final_points[k], traj.final_point)
+            assert ends.final_f[k] == traj.final_f
+            assert ends.best_f[k] == traj.best_f
+
+    def test_lowest_index_failure_of_a_later_slice_is_raised(self):
+        # every chain of the first slice runs 600 steps; the last seed, 919,
+        # is the first to fail (iteration 494)
+        obj = benchmark("f1")
+        cfg = LmwuConfig(eps=1e-4, beta=10.0, max_iters=600)
+        for k, seed in enumerate(self.SLICE_SEEDS):
+            try:
+                run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], replace(cfg, seed=seed))
+            except StepFailureError as exc:
+                first = exc
+                break
+        assert (k, first.iteration) == (259, 494)
+        with pytest.raises(StepFailureError) as info:
+            run_chains("lmwu", obj, [0.3, 0.6, 0.1], cfg, self.SLICE_SEEDS)
+        assert str(info.value) == str(first)
+        assert info.value.iteration == first.iteration
 
     def test_lowest_index_failure_is_raised(self):
         # seeds 33 and 16 fail first (iterations 918 and 1118), but seed 2,

@@ -51,8 +51,9 @@ def invocations() -> list[tuple[str, list[str]]]:
                 runs.append((f"optimize-{fid}-{init}-{method}",
                              ["optimize", "--method", method, *common]))
             runs.append((f"compare-{fid}-{init}", ["compare", *common]))
-            # the deterministic sweeps run the batched row path over the
-            # vectorized f1/f2 evaluation
+            # the lmwu sweeps run the batched rows (over the vectorized f1/f2
+            # evaluation on f1 and f2); a sweep of any other method is its
+            # seeds' run_optimizer runs
             sweeps = METHODS if fid in ("f1", "f2") else ("lmwu", "proj-langevin")
             for method in sweeps:
                 runs.append((f"sweep-{fid}-{init}-{method}",
@@ -76,7 +77,7 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("sweep-returns-equal", [
         "sweep", "--returns", PANEL, "--preset", "equal", "--method", "lmwu",
         "--samples", "8"]))
-    # chains of the other methods at n = 10, one float step per chain
+    # chains of the other methods at n = 10, each its seed's run_optimizer run
     for method in ("exp-mwu", "proj-langevin"):
         runs.append((f"sweep-returns-equal-{method}", [
             "sweep", "--returns", PANEL, "--preset", "equal", "--method", method,
