@@ -2,10 +2,10 @@
 
 Subcommands: ``optimize`` (single run → trajectory CSV), ``compare``
 (several methods from one init → per-method trajectories + summary CSV),
-``sweep`` (one method over consecutive seeds, run as one batch → sweep
-CSV), ``portfolio`` (rolling-window evaluation grid → report CSV), and
-``noise-check`` (empirical moments of the update noise against their
-analytic values).
+``sweep`` (one method over consecutive seeds → sweep CSV; ``lmwu`` seeds
+advance as one batch, other methods seed by seed), ``portfolio``
+(rolling-window evaluation grid → report CSV), and ``noise-check``
+(empirical moments of the update noise against their analytic values).
 
 Each subcommand declares only the flags it reads (``_COMMANDS``). ``main``
 merges a ``--config`` file (JSON object or ``key=value`` lines) into them
@@ -557,7 +557,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.handler(args)
-    except (ReturnsParseError, OSError) as exc:
+    except (ReturnsParseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except StepFailureError as exc:

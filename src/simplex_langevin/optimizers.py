@@ -35,12 +35,12 @@ from .geometry import (
     _require_positive,
     _simplex_point,
     christoffel_drift,
-    euclidean_simplex_projection,
-    exp_map,
-    lift_to_interior,
-    normalize_retraction,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
-    sample_noise,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
     shahshahani_gradient,
+    # no step calls these; perfbench/tracing.py wraps them in this namespace
+    euclidean_simplex_projection,  # noqa: F401
+    lift_to_interior,  # noqa: F401
+    normalize_retraction,  # noqa: F401
+    sample_noise,  # noqa: F401
 )
 from .objectives import Objective
 
@@ -204,25 +204,21 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
     the closed form whenever x sums to 1): dividing by the closed form instead
     lets the float-level sum error grow by a factor 1/denominator every
     iteration, which breaks the simplex invariant after a few hundred steps
-    near a vertex.
+    near a vertex. It is the run's float step on one point.
 
     Raises:
         ValueError: ``eps`` is not a positive finite float.
         StepFailureError: some multiplier 1 − ε g_i is nonpositive, i.e.
-            ``eps`` is too large for this gradient.
+            ``eps`` is too large for this gradient, or the point left the
+            simplex (a NaN or ±inf gradient coordinate gives no point).
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if x.shape != grad.shape:
         raise ValueError("point and gradient must have the same shape")
     _require_positive("eps", eps)
-    mult = 1.0 - eps * grad
-    if mult.min() <= 0.0:
-        raise StepFailureError(
-            f"eps={float(eps)!r} makes a multiplier nonpositive (min {mult.min():.3e})"
-        )
-    numer = x * mult
-    return numer / _left_sum(numer)
+    step = _float_step(Method.LINEAR_MWU, x.size, eps)
+    return np.array(step(x.tolist(), grad.tolist())[0])
 
 
 # extra noise draws an lmwu step may take when a draw would leave the simplex
@@ -279,10 +275,11 @@ def projected_langevin_step(
 ) -> np.ndarray:
     """Euclidean Langevin step, then exact projection back to the simplex.
 
-    y = x − ε·grad + √(2εβ⁻¹)·z with IID standard normal z; the projection
-    output has its zeros lifted to ``floor`` so metric operations stay
-    defined downstream. A proposal y that is not finite raises
-    :class:`StepFailureError`.
+    y = x − ε·grad + √(2εβ⁻¹)·z with z = ``rng.standard_normal(n)``; the
+    projection output has its zeros lifted to ``floor`` so metric
+    operations stay defined downstream. It is the run's float step on one
+    point. A proposal y that is not finite or too large to project, or a
+    point off the simplex, raises :class:`StepFailureError`.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -290,18 +287,9 @@ def projected_langevin_step(
         raise ValueError("point and gradient must have the same shape")
     _require_positive("eps", eps)
     _require_positive("beta", beta)
-    y = x - eps * grad + math.sqrt(2.0 * eps / beta) * rng.standard_normal(x.size)
-    return _project_proposal(y, floor)
-
-
-def _project_proposal(y: np.ndarray, floor: float) -> np.ndarray:
-    if not np.isfinite(y).all():
-        raise StepFailureError("Langevin proposal is not finite")
-    try:
-        projected = euclidean_simplex_projection(y)
-    except ValueError as exc:  # coordinates too large to have a threshold
-        raise StepFailureError(f"Langevin proposal cannot be projected: {exc}") from None
-    return lift_to_interior(projected, floor=floor)
+    draws = iter(lambda: rng.standard_normal(x.size).tolist(), None)
+    step = _float_step(Method.PROJECTED_LANGEVIN, x.size, eps, beta, floor, draws)
+    return np.array(step(x.tolist(), grad.tolist())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +325,8 @@ class _BlockLayout:
         """``method``'s step over every block, each block on its own stream
         of ``seed``: ``(x, grad) -> (point, clamped, resampled)`` on float
         lists. A single block gets its float step as it is."""
-        steps = [_float_step(method, cfg, rng, s.stop - s.start)
+        steps = [_float_step(method, s.stop - s.start, cfg.eps, cfg.beta,
+                             cfg.floor, _normal_lists(rng, s.stop - s.start))
                  for s, rng in zip(self.slices, self.rngs(seed))]
         if len(steps) == 1:
             return steps[0]
@@ -366,29 +355,29 @@ def _off_simplex_error(point: np.ndarray) -> StepFailureError:
     )
 
 
-def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
-                n: int):
+def _float_step(method: Method, n: int, eps: float, beta: float = 1.0,
+                floor: float = DEFAULT_FLOOR, draws=None):
     """``method``'s step on one simplex of ``n`` coordinates, with the
     per-step simplex check: ``(x, grad) -> (point, clamped, resampled)``
-    on float lists.
+    on float lists. ``draws`` yields the next standard normal n-list at
+    each draw; ``beta``, ``floor`` and ``draws`` matter only to the rules
+    that read them.
 
-    It does the public NumPy step's operations in the same order on Python
-    floats, so it gives the same bits: every sum goes through
-    ``_left_sum``, ``sqrt`` is correctly rounded, ``exp-mwu`` keeps NumPy's
-    ``exp``, and the normals come from ``rng`` in blocks in the order
-    ``rng.standard_normal(n)`` gives them. The clamp and the lift call
-    ``_pin_floor`` as the NumPy steps do. A start below the floor, a
-    multiplier <= 0, an ``exp-mwu`` sum of 0 and a Langevin proposal that is
-    not finite or has no threshold go to the NumPy code, which raises.
+    It is the one implementation of ``linear-mwu``, ``exp-mwu`` and
+    ``proj-langevin``, and ``lmwu``'s twin of :func:`_lmwu_rows` with its
+    bits: every sum goes through ``_left_sum``, ``sqrt`` is correctly
+    rounded, ``exp-mwu`` keeps NumPy's ``exp``, and the clamp and the lift
+    call ``_pin_floor``. It raises every step failure itself. Where the
+    rule forms no point (a NaN gradient coordinate, or ±inf where ∞ − ∞
+    arises), the point is all NaN, which the simplex check rejects.
     """
-    eps, beta, floor = cfg.eps, cfg.beta, cfg.floor
+    eps, beta, floor = float(eps), float(beta), float(floor)
     drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
     sd = math.sqrt(noise_c)
-    draws = _normal_lists(rng, n)
 
     def lmwu(x, g):
         if min(x) < floor:
-            christoffel_drift(np.array(x), eps, beta, floor=floor)  # raises
+            raise ValueError(f"coordinate {min(x):.3e} below floor {floor:.3e}")
         s_x = _left_sum([1.0 / v for v in x])
         terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
                   math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
@@ -410,7 +399,10 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
         total = _left_sum(numer)
         if min(mult) > 0.0 and total > 0.0:
             return [v / total for v in numer], False, False
-        return mwu_linear_step(np.array(x), np.array(g), eps).tolist(), False, False
+        if min(mult) <= 0.0 and not any(map(math.isnan, mult)):
+            raise StepFailureError(f"eps={eps!r} makes a multiplier "
+                                   f"nonpositive (min {min(mult):.3e})")
+        return [math.nan] * n, False, False
 
     def exp_mwu(x, g):
         v = [-eps * gv for gv in g]
@@ -420,20 +412,24 @@ def _float_step(method: Method, cfg: LmwuConfig, rng: np.random.Generator,
         total = _left_sum(w)
         if total > 0.0:
             return [t / total for t in w], False, False
-        return exp_map(np.array(x), np.array(v)).tolist(), False, False
+        return [math.nan] * n, False, False
 
     def proj_langevin(x, g):
         y = [v - eps * gv + sd * z for v, gv, z in zip(x, g, next(draws))]
+        if not all(map(math.isfinite, y)):
+            raise StepFailureError("Langevin proposal is not finite")
         u = sorted(y, reverse=True)
         css = list(accumulate(u))
         rho = [k for k in range(n) if u[k] - (css[k] - 1.0) / (k + 1) > 0.0]
-        if rho and all(map(math.isfinite, y)):
-            theta = (css[rho[-1]] - 1.0) / (rho[-1] + 1.0)
-            point = [max(v - theta, 0.0) for v in y]
-            if min(point) < floor:
-                point = _pin_floor(point, floor)
-            return point, False, False
-        return _project_proposal(np.array(y), floor).tolist(), False, False
+        if not rho:
+            raise StepFailureError(
+                "Langevin proposal cannot be projected: coordinates of magnitude "
+                f"{max(map(abs, y)):.3e} leave no projection threshold in float64")
+        theta = (css[rho[-1]] - 1.0) / (rho[-1] + 1.0)
+        point = [max(v - theta, 0.0) for v in y]
+        if min(point) < floor:
+            point = _pin_floor(point, floor)
+        return point, False, False
 
     step = {Method.LMWU: lmwu, Method.LINEAR_MWU: linear_mwu,
             Method.EXP_MWU: exp_mwu, Method.PROJECTED_LANGEVIN: proj_langevin,
@@ -486,7 +482,7 @@ def run_optimizer(
     and its gradient drives the next step. Runs are deterministic in
     (method, objective, init, cfg): stochastic methods derive one RNG
     substream per simplex block from ``cfg.seed``. Steps and objective run
-    on float lists, with the bits of the public NumPy step.
+    on float lists; an ``lmwu`` step has the bits of :func:`lmwu_step`.
 
     Raises:
         StepFailureError: a step could not produce a point; carries the
@@ -584,7 +580,8 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
     # is above the floor, failed otherwise
     failed = np.flatnonzero(~(total > floor))
     m = int(failed[0]) if failed.size else len(x)
-    points = numer[:m] / total[:m, None]
+    with np.errstate(invalid="ignore"):  # an accepted +inf numerator: inf / inf
+        points = numer[:m] / total[:m, None]
     clamped = points.min(axis=-1) < floor
     for k in np.flatnonzero(clamped):
         points[k] = _pin_floor(points[k].tolist(), floor)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,35 @@ class TestExitCodes:
         # the byte battery's step-failure invocations, on the benchmark panel
         assert main(argv) == 1
         assert capsys.readouterr().err == stderr
+
+    @pytest.mark.parametrize("method, stderr", [
+        ("exp-mwu", "error: step failure: iterate left the simplex "
+         "(block sum nan, min coord nan) (iteration 1)\n"),
+        ("linear-mwu", "error: step failure: eps=1e+308 makes a multiplier "
+         "nonpositive (min -1.664e+308) (iteration 1)\n"),
+    ], ids=["exp-mwu", "linear-mwu"])
+    def test_overflowing_step_prints_only_its_error(self, method, stderr,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        # ε·g overflows to ±inf: the step raises its error and warns nothing
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--objective", "f1", "--method", method,
+                         "--eps", "1e308", "--iters", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == stderr
+        assert [str(w.message) for w in caught] == []
+
+    def test_trajectory_too_long_to_allocate_exits_1(self, tmp_path, capsys):
+        # 10¹³ iterates of f1 need 218 TiB, so the allocation fails at once
+        code = main(["optimize", "--objective", "f1",
+                     "--iters", "10000000000000", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1 and err.endswith("float64\n")
+        assert not (tmp_path / "o").exists()
 
     def test_portfolio_floor_too_large_is_a_usage_error(self, bench_run_dir,
                                                         capsys):

@@ -7,12 +7,19 @@ n = 2–14 coordinates, a Dirichlet init lifted to the floor, a floor in
 the four methods in turn. A kernel rewrite is checked here against
 ``run_optimizer``, the per-step loop that every other loop must reproduce
 bit for bit; ``run_optimizer``'s float steps are checked against a block
-walk over the public NumPy steps at every n, on cases forced to resample
-and clamp, and on products of two simplices. Both add every sum left to
-right, so n >= 8, where ``ndarray.sum`` adds pairwise, is no exception.
+walk over NumPy steps at every n, on cases forced to resample and clamp,
+on products of two simplices, and on gradients with NaN, ±inf and huge
+coordinates. Those NumPy steps are ``lmwu_step`` and ``exp_map``, and a
+plain NumPy transcription of the ``linear-mwu`` and ``proj-langevin``
+rules kept here. Both add every sum left to right, so n >= 8, where
+``ndarray.sum`` adds pairwise, is no exception.
 """
+import itertools
+import math
 import re
+import warnings
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +29,8 @@ from simplex_langevin import optimizers
 from simplex_langevin.geometry import (
     SUM_TOL,
     _left_simplex,
+    _left_sum,
+    euclidean_simplex_projection,
     exp_map,
     lift_to_interior,
 )
@@ -33,8 +42,6 @@ from simplex_langevin.optimizers import (
     StepResult,
     Trajectory,
     lmwu_step,
-    mwu_linear_step,
-    projected_langevin_step,
     run_chains,
     run_optimizer,
 )
@@ -159,22 +166,46 @@ def test_cases_reach_the_regimes_they_claim(references):
     assert any(case.init.min() == case.cfg.floor for case, _, _ in references)
 
 
-# the public NumPy step of each method, as (x, grad, cfg, rng) -> StepResult
+def numpy_linear_mwu(x, g, eps):
+    """The ``linear-mwu`` rule in NumPy: x·(1 − εg) over its left sum."""
+    mult = 1.0 - eps * g
+    if mult.min() <= 0.0:
+        raise StepFailureError(
+            f"eps={float(eps)!r} makes a multiplier nonpositive (min {mult.min():.3e})"
+        )
+    numer = x * mult
+    return numer / _left_sum(numer)
+
+
+def numpy_proj_langevin(x, g, eps, beta, rng, floor):
+    """The ``proj-langevin`` rule in NumPy: the proposal, its exact
+    projection, and the lift of its zeros to the floor."""
+    y = x - eps * g + math.sqrt(2.0 * eps / beta) * rng.standard_normal(x.size)
+    if not np.isfinite(y).all():
+        raise StepFailureError("Langevin proposal is not finite")
+    try:
+        projected = euclidean_simplex_projection(y)
+    except ValueError as exc:  # coordinates too large to have a threshold
+        raise StepFailureError(f"Langevin proposal cannot be projected: {exc}") from None
+    return lift_to_interior(projected, floor=floor)
+
+
+# the NumPy step of each method, as (x, grad, cfg, rng) -> StepResult
 NUMPY_STEPS = {
     Method.LMWU: lmwu_step,
     Method.LINEAR_MWU: lambda x, g, cfg, rng: StepResult(
-        mwu_linear_step(x, g, cfg.eps), False, False),
+        numpy_linear_mwu(x, g, cfg.eps), False, False),
     Method.EXP_MWU: lambda x, g, cfg, rng: StepResult(
         exp_map(x, -cfg.eps * g), False, False),
     Method.PROJECTED_LANGEVIN: lambda x, g, cfg, rng: StepResult(
-        projected_langevin_step(x, g, cfg.eps, cfg.beta, rng, floor=cfg.floor),
+        numpy_proj_langevin(x, g, cfg.eps, cfg.beta, rng, cfg.floor),
         False, False),
 }
 
 
 def numpy_loop(method, objective, init, cfg):
     """The reference for run_optimizer's float steps: the per-step loop over
-    the public NumPy steps, walking the blocks in order, each on its own
+    the NumPy steps, walking the blocks in order, each on its own
     generator, with the simplex check after each block's step. Returns the
     trajectory, or the StepFailureError located at its iteration (and its
     block, over several blocks)."""
@@ -288,10 +319,10 @@ def test_float_steps_equal_the_numpy_loop(references):
 def test_clamp_and_lift_stay_on_floats(monkeypatch):
     # the forced-clamp cases on one simplex: the lmwu clamp and the
     # proj-langevin lift repair the float point in place, in run_optimizer
-    # and in run_chains, and never hand it to normalize_retraction or
-    # _project_proposal; the runs still equal the NumPy loop bit for bit,
-    # whose lmwu_step repairs through _pin_floor inside _lmwu_rows and whose
-    # projected_langevin_step calls _project_proposal
+    # and in run_chains, and never hand it to normalize_retraction,
+    # euclidean_simplex_projection or lift_to_interior; the runs still equal
+    # the NumPy loop bit for bit, whose lmwu_step repairs through _pin_floor
+    # inside _lmwu_rows and whose proj-langevin step projects and lifts
     cases = [case for case in branch_cases()
              if case.cfg.floor == 1e-6 and len(case.objective.block_dims) == 1]
     expected = [[numpy_loop(case.method, case.objective, case.init,
@@ -302,7 +333,8 @@ def test_clamp_and_lift_stay_on_floats(monkeypatch):
         raise AssertionError("a float step handed its point to the NumPy step")
 
     monkeypatch.setattr(optimizers, "normalize_retraction", handed_to_numpy)
-    monkeypatch.setattr(optimizers, "_project_proposal", handed_to_numpy)
+    monkeypatch.setattr(optimizers, "euclidean_simplex_projection", handed_to_numpy)
+    monkeypatch.setattr(optimizers, "lift_to_interior", handed_to_numpy)
     repaired = set()
     for case, refs in zip(cases, expected):
         label = (case.method.value, case.objective.dim)
@@ -332,3 +364,75 @@ def test_clamp_and_lift_stay_on_floats(monkeypatch):
             assert ends.best_f[k] == ref.best_f, label
     # lmwu clamps, and proj-langevin lifts a coordinate to the floor
     assert {Method.LMWU, Method.PROJECTED_LANGEVIN} <= repaired
+
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e17, -1e17,
+               0.0, -0.0)
+EDGE_CASES = 1000
+
+
+def _edge_quadratic(a, b, coords, values, start):
+    """The quadratic of ``a`` and ``b`` whose gradient takes ``values`` at
+    ``coords`` from its ``start``-th evaluation on, so the edge gradient
+    reaches a run at step ``start`` + 1. It counts its evaluations, so each
+    run gets its own."""
+    calls = itertools.count()
+
+    def fn(x):
+        g = a @ x + b
+        if next(calls) >= start:
+            g[coords] = values
+        return float(0.5 * (x @ (a @ x)) + b @ x), g
+
+    return Objective(name=f"edge-{b.size}", dim=b.size, block_dims=(b.size,),
+                     fn=fn)
+
+
+def edge_cases(count: int = EDGE_CASES, seed: int = 20261):
+    """Seeded cases, the four methods in turn on n = 2–8, each a factory of
+    a fresh objective whose gradient holds NaN, ±inf, ±1e308, ±1e17 or ±0.0
+    at one to n coordinates from step 1–3 on, with its init and config."""
+    rng = np.random.default_rng(seed)
+    methods = list(Method)
+    cases = []
+    for index in range(count):
+        n = int(rng.integers(2, 9))
+        g = rng.standard_normal((n, n))
+        a, b = g + g.T, rng.standard_normal(n)
+        coords = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        values = [EDGE_VALUES[i] for i in rng.integers(len(EDGE_VALUES), size=coords.size)]
+        start = int(rng.integers(0, 3))
+        floor = 10.0 ** rng.uniform(-12.0, -4.0)
+        init = lift_to_interior(rng.dirichlet(np.ones(n)), floor=floor)
+        cfg = LmwuConfig(eps=10.0 ** rng.uniform(-4.0, 0.0),
+                         beta=10.0 ** rng.uniform(-1.0, 4.0),
+                         max_iters=int(rng.integers(1, 11)), floor=floor,
+                         seed=int(rng.integers(2**31)))
+        cases.append((index, methods[index % len(methods)],
+                      partial(_edge_quadratic, a, b, coords, values, start),
+                      init, cfg))
+    return cases
+
+
+def test_edge_gradients_equal_the_numpy_loop():
+    # the same trajectory bytes or the same failure text and iteration as
+    # the NumPy loop, which may warn; the float path warns nothing
+    outcomes = set()
+    for index, method, objective, init, cfg in edge_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                run = run_optimizer(method, objective(), init, cfg)
+            except StepFailureError as exc:
+                run = exc
+        with np.errstate(all="ignore"):
+            expected = numpy_loop(method, objective(), init, cfg)
+        outcomes.add((method, _outcome(run, expected, (index, method.value))))
+    # every method has runs that end and runs that fail; lmwu meets a
+    # degenerate update, linear-mwu an oversized step, proj-langevin a
+    # proposal it cannot project, and every method but proj-langevin an
+    # iterate off the simplex
+    failures = {(Method.LMWU, "update"), (Method.LINEAR_MWU, "eps"),
+                (Method.PROJECTED_LANGEVIN, "Langevin")}
+    failures |= {(m, "iterate") for m in Method if m is not Method.PROJECTED_LANGEVIN}
+    assert failures | {(m, "plain") for m in Method} <= outcomes

@@ -1,5 +1,6 @@
 """Unit tests for the update rules, run loops, and guarantee formulas."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestLinearMwuStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mwu_linear_step(np.array([0.5, 0.5]), np.zeros(3), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_gradient_with_no_point_leaves_the_simplex(self, bad):
+        # the step the run loops take, so it fails as they do, warning nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as info:
+                mwu_linear_step(np.array([0.5, 0.5]), np.array([bad, 0.0]), 0.1)
+        assert str(info.value) == (
+            "iterate left the simplex (block sum nan, min coord nan)")
 
 
 class TestExponentialMwuStep:
@@ -162,6 +173,15 @@ class TestLmwuStep:
         assert str(info.value) == (
             "iterate left the simplex (block sum nan, min coord nan)")
 
+    def test_infinite_numerator_warns_nothing(self):
+        # the inf / inf of that numerator is not reported as a NumPy warning
+        cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError, match="left the simplex"):
+                lmwu_step(np.array([0.5, 0.5]), np.array([-np.inf, 0.0]), cfg,
+                          np.random.default_rng(0))
+
     def test_gradient_of_another_shape_is_rejected(self):
         cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
         with pytest.raises(ValueError) as info:
@@ -192,6 +212,15 @@ class TestProjectedLangevinStep:
         with pytest.raises(ValueError):
             projected_langevin_step(np.array([0.5, 0.5]), np.zeros(2),
                                     -0.1, 1.0, np.random.default_rng(0))
+
+    def test_draws_one_normal_vector_per_call(self):
+        # a caller's generator advances by exactly n normals per step
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        x = np.array([0.2, 0.3, 0.5])
+        for _ in range(3):
+            x = projected_langevin_step(x, np.zeros(3), 0.01, 1.0, rng)
+            twin.standard_normal(3)
+        assert rng.standard_normal() == twin.standard_normal()
 
 
 class TestRunOptimizer:

@@ -118,6 +118,11 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("fail-optimize-f1-proj-langevin-eps1e17", [
         "optimize", "--objective", "f1", "--method", "proj-langevin",
         "--eps", "1e17", "--iters", "3"]))
+    # ε·g overflows to ±inf: the step's error and no NumPy warning
+    for method in ("exp-mwu", "linear-mwu"):
+        runs.append((f"fail-optimize-f1-{method}-eps1e308", [
+            "optimize", "--objective", "f1", "--method", method,
+            "--eps", "1e308", "--iters", "3"]))
     runs.append(("fail-portfolio-linear-mwu-eps1000", [
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
