@@ -425,6 +425,11 @@ def cmd_portfolio(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
+def _fmt_z(z: float, sign: str = "+") -> str:
+    """A z-score in fixed point, or in exponent form from 1e6 up."""
+    return f"{z:{sign}.2{'f' if abs(z) < 1e6 else 'e'}}"
+
+
 def cmd_noise_check(args) -> int:
     # draws at one point: of the run config it reads eps, beta, floor, seed
     cfg = _resolve_cfg(args, LmwuConfig(eps=0.1, beta=1.0, max_iters=0))
@@ -443,16 +448,19 @@ def cmd_noise_check(args) -> int:
         raise ValueError("--samples must be >= 10000 for a meaningful check")
     eps, beta = cfg.eps, cfg.beta
 
-    drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
-    rng = np.random.default_rng(cfg.seed)
-    values = sample_noise(point, eps, beta, rng, floor=cfg.floor, size=n_samples)
-    var_expected = 2.0 * eps / beta * point
-    mean = values.mean(axis=0)
-    var = values.var(axis=0, ddof=1)
-    mean_se = np.sqrt(var_expected / n_samples)
-    var_se = var_expected * math.sqrt(2.0 / (n_samples - 1))
-    mean_z = (mean - drift) / mean_se
-    var_z = (var - var_expected) / var_se
+    # overflowing parameters give inf or nan moments and z, which FAIL
+    with np.errstate(all="ignore"):
+        drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
+        rng = np.random.default_rng(cfg.seed)
+        values = sample_noise(point, eps, beta, rng, floor=cfg.floor,
+                              size=n_samples)
+        var_expected = 2.0 * eps / beta * point
+        mean = values.mean(axis=0)
+        var = values.var(axis=0, ddof=1)
+        mean_se = np.sqrt(var_expected / n_samples)
+        var_se = var_expected * math.sqrt(2.0 / (n_samples - 1))
+        mean_z = (mean - drift) / mean_se
+        var_z = (var - var_expected) / var_se
 
     rows = []
     for i in range(point.size):
@@ -461,8 +469,8 @@ def cmd_noise_check(args) -> int:
         ])
         print(
             f"x_{i + 1}: mean {_fmt(mean[i])} (drift {_fmt(drift[i])}, "
-            f"z = {mean_z[i]:+.2f}), var {_fmt(var[i])} "
-            f"(expected {_fmt(var_expected[i])}, z = {var_z[i]:+.2f})"
+            f"z = {_fmt_z(mean_z[i])}), var {_fmt(var[i])} "
+            f"(expected {_fmt(var_expected[i])}, z = {_fmt_z(var_z[i])})"
         )
     if args.out is not None:
         out = _out_dir(args)
@@ -473,7 +481,8 @@ def cmd_noise_check(args) -> int:
         )
     worst = max(float(np.abs(mean_z).max()), float(np.abs(var_z).max()))
     passed = worst < 4.0
-    print(f"{'PASS' if passed else 'FAIL'}: max |z| = {worst:.2f} (threshold 4)")
+    print(f"{'PASS' if passed else 'FAIL'}: max |z| = {_fmt_z(worst, '')} "
+          "(threshold 4)")
     return EXIT_OK if passed else EXIT_RUNTIME
 
 

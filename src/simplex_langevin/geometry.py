@@ -129,13 +129,14 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The map is invariant under shifting ``v`` by a constant vector; the
     largest component is subtracted before exponentiating so large shifts
-    cannot overflow.
+    cannot overflow. ``exp`` is ``math.exp`` per coordinate, whose bits do
+    not depend on which SIMD routine NumPy dispatches to.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape:
         raise ValueError(f"dimension mismatch: point {x.shape} vs tangent {v.shape}")
-    w = x * np.exp(v - v.max())
+    w = x * np.array([math.exp(t) for t in (v - v.max()).tolist()])
     return w / _left_sum(w)
 
 

@@ -366,10 +366,11 @@ def _float_step(method: Method, n: int, eps: float, beta: float = 1.0,
     It is the one implementation of ``linear-mwu``, ``exp-mwu`` and
     ``proj-langevin``, and ``lmwu``'s twin of :func:`_lmwu_rows` with its
     bits: every sum goes through ``_left_sum``, ``sqrt`` is correctly
-    rounded, ``exp-mwu`` keeps NumPy's ``exp``, and the clamp and the lift
-    call ``_pin_floor``. It raises every step failure itself. Where the
-    rule forms no point (a NaN gradient coordinate, or ±inf where ∞ − ∞
-    arises), the point is all NaN, which the simplex check rejects.
+    rounded, ``exp-mwu`` takes ``math.exp`` (as ``exp_map`` and f1, f2 do),
+    and the clamp and the lift call ``_pin_floor``. It raises every step
+    failure itself. Where the rule forms no point (a NaN gradient
+    coordinate, or ±inf where ∞ − ∞ arises), the point is all NaN, which
+    the simplex check rejects.
     """
     eps, beta, floor = float(eps), float(beta), float(floor)
     drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
@@ -407,7 +408,7 @@ def _float_step(method: Method, n: int, eps: float, beta: float = 1.0,
     def exp_mwu(x, g):
         v = [-eps * gv for gv in g]
         top = max(v)
-        e = np.exp(np.array([t - top for t in v])).tolist()
+        e = [math.exp(t - top) for t in v]
         w = [a * b for a, b in zip(x, e)]
         total = _left_sum(w)
         if total > 0.0:
@@ -559,38 +560,40 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
     their clamped and resampled masks, and that row's (index, error) or
     None."""
     floor = cfg.floor
-    # a draw z gives the numerator base + (drift + scale * z), the
-    # base + sample_noise(...) of the same z
-    base = x - cfg.eps * shahshahani_gradient(x, grad)
-    drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=floor)
-    scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
-    numer = base + (drift + scale * take(np.arange(len(x))))
-    total = _left_sum(numer)
-    ok = (total > floor) & (numer.min(axis=-1) > 0.0)
-    resampled = ~ok
-    for _ in range(_RESAMPLE_LIMIT):
-        rows = np.flatnonzero(~ok)
-        if rows.size == 0:
-            break
-        redraw = base[rows] + (drift[rows] + scale[rows] * take(rows))
-        numer[rows] = redraw
-        total[rows] = _left_sum(redraw)
-        ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
-    # past its resamples a row keeps its last draw: clamped while the sum
-    # is above the floor, failed otherwise
-    failed = np.flatnonzero(~(total > floor))
-    m = int(failed[0]) if failed.size else len(x)
-    with np.errstate(invalid="ignore"):  # an accepted +inf numerator: inf / inf
+    # overflowing inputs (ε·g or the drift at ±inf, inf − inf in a sum, an
+    # accepted +inf numerator: inf / inf) end in the step's own error
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a draw z gives the numerator base + (drift + scale * z), the
+        # base + sample_noise(...) of the same z
+        base = x - cfg.eps * shahshahani_gradient(x, grad)
+        drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=floor)
+        scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
+        numer = base + (drift + scale * take(np.arange(len(x))))
+        total = _left_sum(numer)
+        ok = (total > floor) & (numer.min(axis=-1) > 0.0)
+        resampled = ~ok
+        for _ in range(_RESAMPLE_LIMIT):
+            rows = np.flatnonzero(~ok)
+            if rows.size == 0:
+                break
+            redraw = base[rows] + (drift[rows] + scale[rows] * take(rows))
+            numer[rows] = redraw
+            total[rows] = _left_sum(redraw)
+            ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
+        # past its resamples a row keeps its last draw: clamped while the sum
+        # is above the floor, failed otherwise
+        failed = np.flatnonzero(~(total > floor))
+        m = int(failed[0]) if failed.size else len(x)
         points = numer[:m] / total[:m, None]
-    clamped = points.min(axis=-1) < floor
-    for k in np.flatnonzero(clamped):
-        points[k] = _pin_floor(points[k].tolist(), floor)
-    failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
-    off = np.flatnonzero(_left_simplex(points))
-    if off.size:
-        m = int(off[0])
-        failure = (m, _off_simplex_error(points[m]))
-    return points[:m], clamped[:m], resampled[:m], failure
+        clamped = points.min(axis=-1) < floor
+        for k in np.flatnonzero(clamped):
+            points[k] = _pin_floor(points[k].tolist(), floor)
+        failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
+        off = np.flatnonzero(_left_simplex(points))
+        if off.size:
+            m = int(off[0])
+            failure = (m, _off_simplex_error(points[m]))
+        return points[:m], clamped[:m], resampled[:m], failure
 
 
 def run_chains(

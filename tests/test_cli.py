@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, CSV outputs, precedence."""
 import csv
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -713,3 +714,59 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "trajectory.csv").exists()
     assert "final f" in proc.stdout
+
+
+# the edge grid: ε and β each over these, --floor over EDGE_FLOORS (None
+# leaves it unset), and one run per entry of EDGE_RUNS
+EDGE_VALUES = ("5e-324", "1e-308", "1e-300", "1e-12", "0.5", "1", "1e12",
+               "1e300", "1e308")
+EDGE_FLOORS = (None, "1e-300", "1e-6", "0.3")
+EDGE_RUNS = tuple(
+    ["optimize", "--objective", "f1", "--method", method, "--iters", "3"]
+    for method in ("lmwu", "linear-mwu", "exp-mwu", "proj-langevin")
+) + (
+    ["sweep", "--objective", "f1", "--method", "lmwu", "--samples", "4",
+     "--iters", "3"],
+    ["noise-check", "--samples", "10000"],
+)
+EDGE_CASES = 400
+
+
+def edge_flag_cases(count: int = EDGE_CASES, seed: int = 22):
+    """The two overflow cases that once warned, then a seeded draw from the
+    edge grid (1,944 argvs) without repeats."""
+    grid = list(itertools.product(EDGE_RUNS, EDGE_VALUES, EDGE_VALUES,
+                                  EDGE_FLOORS))
+    cases = [
+        ["sweep", "--objective", "f1", "--method", "lmwu", "--eps", "1e308",
+         "--samples", "4", "--iters", "3"],
+        ["noise-check", "--samples", "10000", "--eps", "1e300"],
+    ]
+    for i in sorted(np.random.default_rng(seed).choice(len(grid), count - 2,
+                                                       replace=False)):
+        run, eps, beta, floor = grid[i]
+        cases.append([*run, "--eps", eps, "--beta", beta]
+                     + ([] if floor is None else ["--floor", floor]))
+    return cases
+
+
+def test_edge_flag_values_end_as_the_cli_says(tmp_path, monkeypatch, capsys):
+    # exit 0, 1 or 2; no Python warning; only error: lines on stderr; and
+    # no output line longer than 200 characters
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    broken = []
+    for argv in edge_flag_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        faults = [f"exit {code}"] if code not in (0, 1, 2) else []
+        faults += [f"warning: {w.message}" for w in caught]
+        faults += [f"stderr: {line}" for line in err.splitlines()
+                   if not line.startswith("error: ")]
+        faults += [f"{len(line)}-character line" for line in
+                   (out + err).splitlines() if len(line) > 200]
+        if faults:
+            broken.append(f"{' '.join(argv)}: {'; '.join(faults)}")
+    assert broken == []

@@ -12,11 +12,16 @@ on products of two simplices, and on gradients with NaN, ±inf and huge
 coordinates. Those NumPy steps are ``lmwu_step`` and ``exp_map``, and a
 plain NumPy transcription of the ``linear-mwu`` and ``proj-langevin``
 rules kept here. Both add every sum left to right, so n >= 8, where
-``ndarray.sum`` adds pairwise, is no exception.
+``ndarray.sum`` adds pairwise, is no exception. The last check runs the
+``exp`` paths in child processes with NumPy's SIMD targets disabled, and
+requires the same bytes as on the full CPU.
 """
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -436,3 +441,54 @@ def test_edge_gradients_equal_the_numpy_loop():
                 (Method.PROJECTED_LANGEVIN, "Langevin")}
     failures |= {(m, "iterate") for m in Method if m is not Method.PROJECTED_LANGEVIN}
     assert failures | {(m, "plain") for m in Method} <= outcomes
+
+
+# NumPy's AVX-512 dispatch targets, and every dispatch target (the baseline
+# routines only): the machines the variant check emulates
+NPY_VARIANTS = (None, ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+                ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+VARIANT_CHILD = """
+import contextlib, hashlib, io, os, tempfile
+import numpy as np
+from simplex_langevin.cli import main
+from simplex_langevin.geometry import exp_map
+digest = hashlib.sha256()
+with tempfile.TemporaryDirectory() as out:
+    for fid in ("f1", "f2", "f3", "f4", "f5", "f6"):
+        for init in ("uniform", "paper"):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                code = main(["optimize", "--objective", fid, "--init", init,
+                             "--method", "exp-mwu", "--iters", "2000",
+                             "--seed", "3", "--out", out])
+            with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+                digest.update(f"{code} {text.getvalue()}".encode() + fh.read())
+rng = np.random.default_rng(7)
+for _ in range(500):
+    n = int(rng.integers(2, 15))
+    x = rng.dirichlet(np.ones(n))
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 2.0)
+    digest.update(exp_map(x, v).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_exp_paths_do_not_depend_on_numpy_simd_dispatch():
+    # one child per emulated machine, each disabling only the targets this
+    # CPU has; where it has none of them the variants simply agree
+    from numpy._core._multiarray_umath import __cpu_features__
+    package_root = os.path.dirname(os.path.dirname(optimizers.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for features in NPY_VARIANTS:
+        env = dict(base, OPENBLAS_NUM_THREADS="1")
+        if features is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+                f for f in features if __cpu_features__.get(f))
+        proc = subprocess.run([sys.executable, "-c", VARIANT_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests[env.get("NPY_DISABLE_CPU_FEATURES")] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests

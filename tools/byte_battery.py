@@ -5,8 +5,10 @@ source tree and write a manifest of everything they produced.
 
 Each invocation runs in a fresh interpreter, in its own directory under
 ``<dir>``, with that tree's ``src`` on ``PYTHONPATH``. ``<dir>/manifest.txt``
-gets one line per invocation: its label, exit code, and the sha256 of its
-stdout, its stderr and every file it wrote, with the wall-clock
+starts with the environment the bytes may depend on: NumPy's version, the SIMD
+targets NumPy dispatches to on this CPU, and the OpenBLAS core in use.
+Then it gets one line per invocation: its label, exit code, and the sha256
+of its stdout, its stderr and every file it wrote, with the wall-clock
 ``runtime_seconds`` column removed from CSVs before hashing. Two trees are
 byte-identical on the battery when their manifests are equal:
 
@@ -19,11 +21,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import glob
 import hashlib
 import io
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
@@ -87,6 +93,9 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("noise-check-f5", [
         "noise-check", "--objective", "f5", "--init", "paper",
         "--samples", "20000", "--seed", "4", "--out", "."]))
+    # moments that overflow: a FAIL verdict with bounded z-scores
+    runs.append(("noise-check-eps1e300", [
+        "noise-check", "--samples", "10000", "--eps", "1e300"]))
     # steps that resample and clamp on most rows (the clamp path of lmwu and
     # the floor lift of proj-langevin)
     clamp = ["--init", "uniform", "--eps", "0.5", "--beta", "1e8",
@@ -123,6 +132,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"fail-optimize-f1-{method}-eps1e308", [
             "optimize", "--objective", "f1", "--method", method,
             "--eps", "1e308", "--iters", "3"]))
+    # the same overflow through the batched lmwu rows
+    runs.append(("fail-sweep-f1-lmwu-eps1e308", [
+        "sweep", "--objective", "f1", "--method", "lmwu", "--eps", "1e308",
+        "--samples", "4", "--iters", "3"]))
     runs.append(("fail-portfolio-linear-mwu-eps1000", [
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
@@ -144,6 +157,22 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("usage-unknown-method", [
         "optimize", "--objective", "f1", "--method", "warp"]))
     return runs
+
+
+def environment() -> str:
+    """The manifest's first line: what the bytes may depend on besides the
+    source tree. The OpenBLAS core is read from the library NumPy bundles,
+    if it bundles one."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return (f"environment numpy={np.__version__} simd={','.join(simd) or '-'} "
+            f"openblas={core}")
 
 
 def _sha(data: bytes) -> str:
@@ -170,7 +199,7 @@ def run(src: str, out: str) -> str:
     write_panel(os.path.join(out, "panel.csv"), seed=1)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    lines = []
+    lines = [environment()]
     for label, argv in invocations():
         cwd = os.path.join(out, label)
         os.mkdir(cwd)
