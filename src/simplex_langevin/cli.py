@@ -97,10 +97,8 @@ GENERIC_PRESET = ExperimentPreset((), 1e-3, 1e-4, 100.0)
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -114,11 +112,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        # utf-8-sig drops a leading byte-order mark, as load_returns does
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"config line {line}: not UTF-8 text") from None
+    # as text mode reads it, without the byte-order mark load_returns drops
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     if text.lstrip().startswith(("{", "[")):
         try:
             cfg = json.loads(text)

@@ -45,8 +45,7 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.base.shape != self.components.shape:
-            raise ValueError("base and components must have the same shape")
+        _points(base=self.base, components=self.components)
         total = float(self.components.sum())
         if not math.isfinite(total) or abs(total) > SUM_TOL:
             raise ValueError(f"tangent components must sum to 0, got {total!r}")
@@ -56,6 +55,21 @@ def _require_positive(name: str, value: float) -> None:
     """The rule for step parameters (step sizes, inverse temperatures)."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be a positive finite float")
+
+
+def _points(**named) -> list[np.ndarray]:
+    """The point rule of every single-point function: each keyword's value as
+    a float64 array, the first a nonempty 1-D vector, the others of its shape.
+    The keywords name the arguments in the error texts."""
+    arrays = {k: np.asarray(v, dtype=float) for k, v in named.items()}
+    (first, x), *partners = arrays.items()
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{first} must be a nonempty 1-D vector, got shape {x.shape}")
+    for name, y in partners:
+        if y.shape != x.shape:
+            raise ValueError(
+                f"dimension mismatch: {first} {x.shape} vs {name} {y.shape}")
+    return list(arrays.values())
 
 
 def _no_room(floor: float, n: int) -> ValueError:
@@ -83,13 +97,11 @@ def _simplex_point(values, floor: float) -> np.ndarray:
     coordinate >= ``floor``: the rule for a run's starting point.
 
     Raises:
-        ValueError: non-1-D input, ``floor`` too large for the dimension, a
-            coordinate not finite or below ``floor``, or the sum off 1 by
+        ValueError: the point rule, ``floor`` too large for the dimension,
+            a coordinate not finite or below ``floor``, or the sum off 1 by
             more than ``SUM_TOL``.
     """
-    x = np.array(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("a simplex point must be a nonempty 1-D vector")
+    x = np.array(_points(init=values)[0])
     if floor * x.size > 1.0:
         raise _no_room(floor, x.size)
     if not np.isfinite(x).all() or x.min() < floor:
@@ -132,10 +144,7 @@ def exp_map(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     cannot overflow. ``exp`` is ``math.exp`` per coordinate, whose bits do
     not depend on which SIMD routine NumPy dispatches to.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape} vs tangent {v.shape}")
+    x, v = _points(point=x, tangent=v)
     w = x * np.array([math.exp(t) for t in (v - v.max()).tolist()])
     return w / _left_sum(w)
 
@@ -146,10 +155,7 @@ def log_map(x: np.ndarray, y: np.ndarray) -> TangentVector:
     Returns the unique zero-sum ``v`` with ``exp_map(x, v) == y``:
     v_i = ln(y_i/x_i) − (1/n)·Σ_j ln(y_j/x_j).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    x, y = _points(x=x, y=y)
     if not ((x > 0.0).all() and (y > 0.0).all()):
         raise ValueError("log_map requires strictly positive points")
     r = np.log(y) - np.log(x)
@@ -165,9 +171,7 @@ def distance_sq_barycenter(x: np.ndarray) -> float:
     the geometric mean of ``x`` equals 1/n; elsewhere it is larger, because
     the log coordinates ln(n·x_i) are not centered.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("expected a nonempty 1-D vector")
+    (x,) = _points(x=x)
     if not (x > 0.0).all():
         raise ValueError("distance requires strictly positive coordinates")
     n = x.size
@@ -267,7 +271,7 @@ def normalize_retraction(
         ValueError: component sum <= ``floor``, or ``floor`` does not leave
             room for ``raw.size`` coordinates.
     """
-    raw = np.asarray(raw, dtype=float)
+    (raw,) = _points(raw=raw)
     total = float(_left_sum(raw))
     if not total > floor:
         raise ValueError(
@@ -293,9 +297,7 @@ def euclidean_simplex_projection(y: np.ndarray) -> np.ndarray:
             coordinates are so large (about 1e16 and up) that the test
             rounds to 0 for every k and no threshold exists in float64.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("expected a nonempty 1-D vector")
+    (y,) = _points(y=y)
     if not np.isfinite(y).all():
         raise ValueError("projection input must be finite")
     u = np.sort(y)[::-1]
@@ -320,7 +322,7 @@ def lift_to_interior(x: np.ndarray, *, floor: float = DEFAULT_FLOOR) -> np.ndarr
     or above the floor are returned unchanged. A ``floor`` that leaves no
     room for ``x.size`` coordinates raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    (x,) = _points(x=x)
     if x.min() >= floor:
         return x
     return np.array(_pin_floor(x.tolist(), floor))

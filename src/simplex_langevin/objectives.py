@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import _require_positive
+from .geometry import _points, _require_positive
 
 __all__ = [
     "Objective",
@@ -315,8 +315,7 @@ def test_function(fid: str) -> Objective:
 def _check_lambdas(lam: np.ndarray) -> None:
     """The rules of a λ-weight vector: nonempty, every weight nonnegative
     and finite, and an exactly rounded sum of 1 within 1e-9."""
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("lambdas must be a nonempty vector")
+    _points(lambdas=lam)
     if (lam < 0.0).any() or not np.isfinite(lam).all():
         raise ValueError("lambdas must be nonnegative and finite")
     if abs(math.fsum(lam) - 1.0) > 1e-9:
@@ -386,6 +385,10 @@ def _moments(loss: PortfolioLoss, w, top: int) -> tuple[list, list]:
 
 def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     """Sample moments (m_1, ..., m_d) of the portfolio return series at ``w``."""
+    (w,) = _points(w=w)
+    if w.size != loss.n_assets:
+        raise ValueError(f"portfolio_moments expects a vector of length "
+                         f"{loss.n_assets}, got {w.shape}")
     return np.array(_moments(loss, w, loss.order)[0])
 
 
@@ -436,7 +439,7 @@ def finite_difference_gradient(fun, point, step: float = 1e-6) -> np.ndarray:
         step: perturbation size h; error is O(h²) for smooth ``fun``.
     """
     f = (lambda p: fun.value_and_grad(p)[0]) if isinstance(fun, Objective) else fun
-    x = np.asarray(point, dtype=float)
+    (x,) = _points(point=point)
     _require_positive("step", step)
     grad = np.empty(x.size)
     for i in range(x.size):

@@ -11,8 +11,8 @@ Four update rules over (products of) probability simplices:
 
 ``run_optimizer`` drives any of them for a fixed iteration count, recording
 every iterate; ``run_chains`` keeps only where each seed's chain ended,
-advancing ``lmwu`` chains as one array (``_lmwu_rows``, whose one-row case
-is ``lmwu_step``); ``theoretical_step_bound`` and
+advancing ``lmwu`` chains as one array (``_lmwu_rows``). The public steps
+are the run's float step on one point. ``theoretical_step_bound`` and
 ``theoretical_iteration_budget`` evaluate the convergence-guarantee formulas
 for a given constant bundle.
 """
@@ -32,6 +32,7 @@ from .geometry import (
     _left_simplex,
     _left_sum,
     _pin_floor,
+    _points,
     _require_positive,
     _simplex_point,
     christoffel_drift,
@@ -212,17 +213,19 @@ def mwu_linear_step(x: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
             ``eps`` is too large for this gradient, or the point left the
             simplex (a NaN or ±inf gradient coordinate gives no point).
     """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError("point and gradient must have the same shape")
-    _require_positive("eps", eps)
-    step = _float_step(Method.LINEAR_MWU, x.size, eps)
-    return np.array(step(x.tolist(), grad.tolist())[0])
+    cfg = LmwuConfig(eps=eps, beta=1.0, max_iters=0)
+    return _one_point_step(Method.LINEAR_MWU, x, grad, cfg).point
 
 
 # extra noise draws an lmwu step may take when a draw would leave the simplex
 _RESAMPLE_LIMIT = 16
+
+
+def _denominator_failure(total: float) -> StepFailureError:
+    return StepFailureError(
+        f"update denominator {total:.3e} stayed below floor after "
+        f"{_RESAMPLE_LIMIT} resamples"
+    )
 
 
 def lmwu_step(
@@ -238,30 +241,15 @@ def lmwu_step(
     A draw is rejected and resampled when the sum is <= floor or any
     numerator is nonpositive; after 16 extra draws the last numerator
     vector is clamped-and-renormalized instead (flagged), or, if its sum is
-    still degenerate, the step fails. It is :func:`_lmwu_rows` on one row,
-    each attempt drawing ``rng.standard_normal(n)``.
+    still degenerate, the step fails. It is the run's float step on one
+    point, each attempt drawing ``rng.standard_normal(n)``.
 
     Raises:
         StepFailureError: resample budget exhausted with the component sum
             still <= floor, or a point off the simplex (an accepted +inf
             numerator, as a −inf gradient coordinate gives).
     """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape} vs gradient {grad.shape}")
-    points, clamped, resampled, failure = _lmwu_rows(
-        x[None], grad[None], cfg, lambda rows: rng.standard_normal((rows.size, x.size)))
-    if failure is not None:
-        raise failure[1]
-    return StepResult(points[0], bool(clamped[0]), bool(resampled[0]))
-
-
-def _denominator_failure(total: float) -> StepFailureError:
-    return StepFailureError(
-        f"update denominator {total:.3e} stayed below floor after "
-        f"{_RESAMPLE_LIMIT} resamples"
-    )
+    return _one_point_step(Method.LMWU, x, grad, cfg, rng)
 
 
 def projected_langevin_step(
@@ -276,20 +264,24 @@ def projected_langevin_step(
     """Euclidean Langevin step, then exact projection back to the simplex.
 
     y = x − ε·grad + √(2εβ⁻¹)·z with z = ``rng.standard_normal(n)``; the
-    projection output has its zeros lifted to ``floor`` so metric
-    operations stay defined downstream. It is the run's float step on one
-    point. A proposal y that is not finite or too large to project, or a
-    point off the simplex, raises :class:`StepFailureError`.
+    projection output has its zeros lifted to ``floor`` so metric operations
+    stay defined downstream. It is the run's float step on one point, under
+    :class:`LmwuConfig`'s rules for ε, β and the floor. A proposal y that is
+    not finite or too large to project, or a point off the simplex, raises
+    :class:`StepFailureError`.
     """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError("point and gradient must have the same shape")
-    _require_positive("eps", eps)
-    _require_positive("beta", beta)
+    cfg = LmwuConfig(eps=eps, beta=beta, max_iters=0, floor=floor)
+    return _one_point_step(Method.PROJECTED_LANGEVIN, x, grad, cfg, rng).point
+
+
+def _one_point_step(method: Method, x, grad, cfg: LmwuConfig, rng=None):
+    """The public steps: the point rule on ``x`` and ``grad``, then the float
+    step on that one point, each draw ``rng.standard_normal(n)``."""
+    x, grad = _points(point=x, gradient=grad)
     draws = iter(lambda: rng.standard_normal(x.size).tolist(), None)
-    step = _float_step(Method.PROJECTED_LANGEVIN, x.size, eps, beta, floor, draws)
-    return np.array(step(x.tolist(), grad.tolist())[0])
+    point, clamped, resampled = _float_step(method, x.size, cfg, draws)(
+        x.tolist(), grad.tolist())
+    return StepResult(np.array(point), clamped, resampled)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +313,13 @@ class _BlockLayout:
             for b in range(len(self.slices))
         ]
 
-    def step(self, method: Method, cfg: LmwuConfig, seed: int):
+    def step(self, method: Method, cfg: LmwuConfig):
         """``method``'s step over every block, each block on its own stream
-        of ``seed``: ``(x, grad) -> (point, clamped, resampled)`` on float
-        lists. A single block gets its float step as it is."""
-        steps = [_float_step(method, s.stop - s.start, cfg.eps, cfg.beta,
-                             cfg.floor, _normal_lists(rng, s.stop - s.start))
-                 for s, rng in zip(self.slices, self.rngs(seed))]
+        of ``cfg.seed``: ``(x, grad) -> (point, clamped, resampled)`` on
+        float lists. A single block gets its float step as it is."""
+        steps = [_float_step(method, s.stop - s.start, cfg,
+                             _normal_lists(rng, s.stop - s.start))
+                 for s, rng in zip(self.slices, self.rngs(cfg.seed))]
         if len(steps) == 1:
             return steps[0]
 
@@ -355,30 +347,28 @@ def _off_simplex_error(point: np.ndarray) -> StepFailureError:
     )
 
 
-def _float_step(method: Method, n: int, eps: float, beta: float = 1.0,
-                floor: float = DEFAULT_FLOOR, draws=None):
-    """``method``'s step on one simplex of ``n`` coordinates, with the
-    per-step simplex check: ``(x, grad) -> (point, clamped, resampled)``
-    on float lists. ``draws`` yields the next standard normal n-list at
-    each draw; ``beta``, ``floor`` and ``draws`` matter only to the rules
-    that read them.
+def _float_step(method: Method, n: int, cfg: LmwuConfig, draws):
+    """``method``'s step on one simplex of ``n`` coordinates under ``cfg``,
+    with the per-step simplex check: ``(x, grad) -> (point, clamped,
+    resampled)`` on float lists, each draw the next n-list of ``draws``.
 
-    It is the one implementation of ``linear-mwu``, ``exp-mwu`` and
-    ``proj-langevin``, and ``lmwu``'s twin of :func:`_lmwu_rows` with its
-    bits: every sum goes through ``_left_sum``, ``sqrt`` is correctly
-    rounded, ``exp-mwu`` takes ``math.exp`` (as ``exp_map`` and f1, f2 do),
-    and the clamp and the lift call ``_pin_floor``. It raises every step
-    failure itself. Where the rule forms no point (a NaN gradient
-    coordinate, or ±inf where ∞ − ∞ arises), the point is all NaN, which
-    the simplex check rejects.
+    The one implementation of each rule, behind the runs and the public
+    steps; ``lmwu`` has the bits of its batch :func:`_lmwu_rows`: sums go
+    through ``_left_sum``, ``sqrt`` is correctly rounded, ``exp-mwu`` takes
+    ``math.exp`` (as ``exp_map`` and f1, f2 do), and the clamp and the lift
+    call ``_pin_floor``. It raises every step failure itself. Where a rule
+    forms no point (a NaN gradient coordinate, or ±inf where ∞ − ∞ arises),
+    the point is all NaN, which the simplex check rejects.
     """
-    eps, beta, floor = float(eps), float(beta), float(floor)
+    eps, beta, floor = float(cfg.eps), float(cfg.beta), float(cfg.floor)
     drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
     sd = math.sqrt(noise_c)
 
     def lmwu(x, g):
-        if min(x) < floor:
-            raise ValueError(f"coordinate {min(x):.3e} below floor {floor:.3e}")
+        if not min(x) >= floor:
+            if not any(map(math.isnan, x)):
+                raise ValueError(f"coordinate {min(x):.3e} below floor {floor:.3e}")
+            x = [math.nan] * n  # NaN passes, as NumPy's min; every sum is then NaN
         s_x = _left_sum([1.0 / v for v in x])
         terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
                   math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
@@ -483,7 +473,7 @@ def run_optimizer(
     and its gradient drives the next step. Runs are deterministic in
     (method, objective, init, cfg): stochastic methods derive one RNG
     substream per simplex block from ``cfg.seed``. Steps and objective run
-    on float lists; an ``lmwu`` step has the bits of :func:`lmwu_step`.
+    on float lists; the public steps take the same float step.
 
     Raises:
         StepFailureError: a step could not produce a point; carries the
@@ -491,7 +481,7 @@ def run_optimizer(
     """
     method = Method(method)
     x, layout = _initial_point(objective, init, cfg.floor)
-    step = layout.step(method, cfg, cfg.seed)
+    step = layout.step(method, cfg)
     k_max = cfg.max_iters
     points = np.empty((k_max + 1, objective.dim))
     f_values = np.empty(k_max + 1)

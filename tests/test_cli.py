@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -495,6 +496,20 @@ class TestConfigFile:
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("data, line", [
+        (b"objective=f1\niters=3\n# caf\xe9\n", 3),
+        (b"\xef\xbb\xbf\xff{}", 1),
+        (b'{"objective": "f1",\r\n "init": "\xe9"}', 2),
+    ], ids=["key=value", "bom", "json-crlf"])
+    def test_config_that_is_not_utf8_names_its_line(self, tmp_path, capsys,
+                                                    data, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(data)
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: config line {line}: not UTF-8 text\n")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["optimize", "--objective", "f1",
                      "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -540,7 +555,8 @@ class TestCompare:
 
 def csv_writer_trajectory(path, traj, dim):
     """The trajectory file as ``csv.writer`` writes it with ``cli._fmt``
-    cells, row by row: the reference for ``cli._write_trajectory``."""
+    cells, row by row, each flag as the int 1 or 0: the reference for
+    ``cli._write_trajectory``."""
     header = ["iter", "f", *(f"x_{i}" for i in range(1, dim + 1)),
               "clamped", "resampled"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -548,8 +564,8 @@ def csv_writer_trajectory(path, traj, dim):
         writer.writerow(header)
         for k in range(len(traj)):
             writer.writerow([cli._fmt(c) for c in [
-                k, traj.f_values[k], *traj.points[k], traj.clamped[k],
-                traj.resampled[k]]])
+                k, traj.f_values[k], *traj.points[k], int(traj.clamped[k]),
+                int(traj.resampled[k])]])
 
 
 @pytest.mark.parametrize("dim", [3, 10])
@@ -770,3 +786,143 @@ def test_edge_flag_values_end_as_the_cli_says(tmp_path, monkeypatch, capsys):
         if faults:
             broken.append(f"{' '.join(argv)}: {'; '.join(faults)}")
     assert broken == []
+
+
+# the argv and --config generator: per flag, or per (subcommand, flag),
+# (values that a run takes, edge values); small run lengths only, since a
+# huge --iters or --samples runs, or holds a list of its seeds, before it
+# fails
+NUMBER_EDGES = ("0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
+                "5e-324", "1e400", "", "é", "１")
+ARGV_VALUES = {
+    "objective": (("f1", "f5"), ("f9", "F1", "", "é")),
+    "method": (("lmwu", "proj-langevin", "exp-mwu"),
+               ("exp-mwu,lmwu", "lmwu,lmwu", ",", "", "é")),
+    "init": (("uniform", "paper"),
+             ("0.3,0.6,0.1", "0.5,0.5", "nan,0.5,0.5", "-0,0.5,0.5",
+              "1e308,1e308,1e308", "inf", "", "é")),
+    "preset": (("mv", "equal"), ("all", "mv,mv", "mv,equal", "", "é")),
+    "variant": (("literal", "window-moments"), ("", "é")),
+    "eps": (("1e-3", "0.5"), NUMBER_EDGES),
+    "beta": (("1", "1e8"), NUMBER_EDGES),
+    "floor": (("1e-6", "1e-12"), NUMBER_EDGES + ("0.5",)),
+    "iters": (("0", "1", "3"), ("-0", "-1", "3.5", "nan", "", "é", "１")),
+    "seed": (("0", "7", "18446744073709551616"), ("-0", "-1", "1e3", "", "é")),
+    "window": (("2", "3"), ("0", "-1", "1000", "", "é")),
+    "samples": (("1", "4"), ("0", "-1", "nan", "", "é")),
+    ("noise-check", "samples"): (("10000",), ("9999", "0", "nan", "", "é")),
+    "returns": (("plain.csv", "bom.csv", "crlf.csv", "quoted.csv",
+                 "constant.csv"), ("latin1.csv", "single.csv", "missing.csv")),
+}
+# returns files, by name: a BOM, CRLF, a quoted newline, non-UTF-8 bytes, a
+# single row, a constant column
+RETURNS_FILES = {
+    "plain.csv": RETURNS_CSV.encode(),
+    "bom.csv": b"\xef\xbb\xbf" + RETURNS_CSV.encode(),
+    "crlf.csv": RETURNS_CSV.replace("\n", "\r\n").encode(),
+    "quoted.csv": RETURNS_CSV.replace("date,a,b", 'date,"a\nb",b').encode(),
+    "latin1.csv": RETURNS_CSV.replace("date,a,b", "date,caf\xe9,b").encode("latin-1"),
+    "single.csv": b"date,a,b\n2021-01-01,0.02,0.001\n",
+    "constant.csv": "".join(line.rsplit(",", 1)[0] + ",0.01\n" for line in
+                            RETURNS_CSV.splitlines()).replace(
+                                ",0.01", ",b", 1).encode(),
+}
+ARGV_CASES = 600
+
+
+def _config_bytes(rng, values: dict) -> bytes:
+    """``values`` as a --config file: JSON or key=value lines, each maybe
+    with a BOM, CRLF line ends or a byte that is not UTF-8."""
+    if rng.random() < 0.5:
+        text = json.dumps(values, ensure_ascii=False)
+    else:
+        text = "".join(f"{k}={v}\n" for k, v in values.items())
+    if rng.random() < 0.3:
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8")
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data
+    if rng.random() < 0.1:
+        cut = int(rng.integers(len(data) + 1))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def argv_cases(directory, count: int = ARGV_CASES, seed: int = 23):
+    """Seeded argvs over every subcommand, with their --config files in
+    ``directory``. A case sets about half of its subcommand's value flags,
+    ``--iters`` and one objective source always, each to a value a run
+    takes; up to two of them take an edge value instead. Some flags are
+    given twice, and some move into the config file."""
+    rng = np.random.default_rng(seed)
+
+    def draw(values):
+        return values[rng.integers(len(values))]
+
+    commands = list(cli._COMMANDS)
+    for index in range(count):
+        command = commands[index % len(commands)]
+        flags = [f for f in cli._COMMANDS[command][2]
+                 if f not in ("out", "per-period", "no-warm-start")]
+        chosen = [f for f in flags if f == "iters" or rng.random() < 0.5]
+        if {"objective", "returns"} <= set(flags):  # one source, not both
+            source = draw(("objective", "returns"))
+            chosen = [f for f in chosen if f not in ("objective", "returns")]
+            chosen.append(source)
+        elif "returns" in flags and "returns" not in chosen:
+            chosen.append("returns")
+        edged = set(rng.choice(chosen, size=min(len(chosen),
+                                                 int(draw((0, 0, 1, 1, 2)))),
+                               replace=False).tolist())
+        sets = {f: ARGV_VALUES.get((command, f), ARGV_VALUES.get(f))
+                for f in chosen}
+        values = {f: draw(sets[f][f in edged]) for f in chosen}
+        if "returns" in values:
+            values["returns"] = str(directory / values["returns"])
+        argv = [command, "--out", str(directory / f"out-{index}")]
+        argv += [f"--{f}" for f in ("per-period", "no-warm-start")
+                 if f in cli._COMMANDS[command][2] and rng.random() < 0.5]
+        config = {}
+        for flag, value in values.items():
+            if rng.random() < 0.3:
+                config[flag] = value
+                continue
+            argv += [f"--{flag}", value]
+            if rng.random() < 0.1:  # given twice: the last one counts
+                argv += [f"--{flag}", draw(sets[flag][0])]
+        if config:
+            path = directory / f"config-{index}.cfg"
+            path.write_bytes(_config_bytes(rng, config))
+            argv += ["--config", str(path)]
+        yield argv
+
+
+def test_generated_argv_and_config_end_as_the_cli_says(tmp_path, monkeypatch,
+                                                        capsys):
+    # exit 0, 1 or 2; no Python warning and no exception out of main; on
+    # stderr only error: lines, argparse's usage message, and portfolio's
+    # failed: lines
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    for name, data in RETURNS_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    allowed = re.compile(r"error: |usage: | |simplex-langevin \S+: error: "
+                         r"|\S+ \S+: failed: ")
+    broken, codes = [], set()
+    for argv in argv_cases(tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback, had main been run
+                code = f"{type(exc).__name__}: {exc}"
+        out, err = capsys.readouterr()
+        codes.add(code)
+        faults = [f"exit {code}"] if code not in (0, 1, 2) else []
+        faults += [f"warning: {w.message}" for w in caught]
+        faults += [f"stderr: {line}" for line in err.splitlines()
+                   if not allowed.match(line)]
+        if faults:
+            broken.append(f"{argv}: {'; '.join(faults)}")
+    assert broken == []
+    assert codes == {0, 1, 2}

@@ -9,10 +9,12 @@ the four methods in turn. A kernel rewrite is checked here against
 bit for bit; ``run_optimizer``'s float steps are checked against a block
 walk over NumPy steps at every n, on cases forced to resample and clamp,
 on products of two simplices, and on gradients with NaN, ±inf and huge
-coordinates. Those NumPy steps are ``lmwu_step`` and ``exp_map``, and a
-plain NumPy transcription of the ``linear-mwu`` and ``proj-langevin``
-rules kept here. Both add every sum left to right, so n >= 8, where
-``ndarray.sum`` adds pairwise, is no exception. The last check runs the
+coordinates. Those NumPy steps are ``optimizers._lmwu_rows`` (the batch of
+``run_chains``) on one row, ``exp_map``, and a plain NumPy transcription of
+the ``linear-mwu`` and ``proj-langevin`` rules kept here; the public
+``lmwu_step``, itself the float step on one point, is checked against that
+row on seeded edge inputs. Both add every sum left to right, so n >= 8,
+where ``ndarray.sum`` adds pairwise, is no exception. The last check runs the
 ``exp`` paths in child processes with NumPy's SIMD targets disabled, and
 requires the same bytes as on the full CPU.
 """
@@ -195,9 +197,20 @@ def numpy_proj_langevin(x, g, eps, beta, rng, floor):
     return lift_to_interior(projected, floor=floor)
 
 
+def numpy_lmwu(x, g, cfg, rng):
+    """The ``lmwu`` rule in NumPy: ``optimizers._lmwu_rows``, the batch of
+    ``run_chains``, on the one row ``x``, each attempt drawing
+    ``rng.standard_normal(n)``, with its clamped and resampled flags."""
+    points, clamped, resampled, failure = optimizers._lmwu_rows(
+        x[None], g[None], cfg, lambda rows: rng.standard_normal((rows.size, x.size)))
+    if failure is not None:
+        raise failure[1]
+    return StepResult(points[0], bool(clamped[0]), bool(resampled[0]))
+
+
 # the NumPy step of each method, as (x, grad, cfg, rng) -> StepResult
 NUMPY_STEPS = {
-    Method.LMWU: lmwu_step,
+    Method.LMWU: numpy_lmwu,
     Method.LINEAR_MWU: lambda x, g, cfg, rng: StepResult(
         numpy_linear_mwu(x, g, cfg.eps), False, False),
     Method.EXP_MWU: lambda x, g, cfg, rng: StepResult(
@@ -326,7 +339,7 @@ def test_clamp_and_lift_stay_on_floats(monkeypatch):
     # proj-langevin lift repair the float point in place, in run_optimizer
     # and in run_chains, and never hand it to normalize_retraction,
     # euclidean_simplex_projection or lift_to_interior; the runs still equal
-    # the NumPy loop bit for bit, whose lmwu_step repairs through _pin_floor
+    # the NumPy loop bit for bit, whose lmwu row repairs through _pin_floor
     # inside _lmwu_rows and whose proj-langevin step projects and lifts
     cases = [case for case in branch_cases()
              if case.cfg.floor == 1e-6 and len(case.objective.block_dims) == 1]
@@ -441,6 +454,65 @@ def test_edge_gradients_equal_the_numpy_loop():
                 (Method.PROJECTED_LANGEVIN, "Langevin")}
     failures |= {(m, "iterate") for m in Method if m is not Method.PROJECTED_LANGEVIN}
     assert failures | {(m, "plain") for m in Method} <= outcomes
+
+
+LMWU_CALLS = 1000
+
+
+def lmwu_call_cases(count: int = LMWU_CALLS, seed: int = 20262):
+    """Seeded public ``lmwu_step`` calls on n = 1–8: a Dirichlet point at or
+    above a floor in 1e-12–1e-2, ε in 1e-5–10 and β in 1e-2–1e8, and in
+    turn a plain call, edge values (NaN, ±inf, ±1e308, ±1e17, ±0.0) at one
+    to n gradient coordinates, one at a coordinate of the point, and the
+    point 1.5× off the simplex, above or below it."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        n = int(rng.integers(1, 9))
+        floor = 10.0 ** rng.uniform(-12.0, -2.0)
+        x = np.maximum(rng.dirichlet(np.full(n, 10.0 ** rng.uniform(-1.0, 1.0))),
+                       floor)
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 3.0)
+        kind = index % 4
+        if kind == 1:
+            coords = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            g[coords] = [EDGE_VALUES[i] for i in
+                         rng.integers(len(EDGE_VALUES), size=coords.size)]
+        elif kind == 2:
+            x[int(rng.integers(n))] = EDGE_VALUES[int(rng.integers(len(EDGE_VALUES)))]
+        elif kind == 3:
+            x = x * (1.5 if rng.random() < 0.5 else 1.0 / 1.5)
+        cfg = LmwuConfig(eps=10.0 ** rng.uniform(-5.0, 1.0),
+                         beta=10.0 ** rng.uniform(-2.0, 8.0), max_iters=1,
+                         floor=floor)
+        yield index, x, g, cfg, int(rng.integers(2**31))
+
+
+def _call(step, x, g, cfg, seed):
+    """``step``'s point bytes and flags, or its exception type and text."""
+    try:
+        point, clamped, resampled = step(x.copy(), g.copy(), cfg,
+                                         np.random.default_rng(seed))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return point.dtype, point.shape, point.tobytes(), clamped, resampled
+
+
+def test_public_lmwu_step_equals_the_numpy_row():
+    # every call gives the NumPy row's point bytes and flags, or its
+    # exception type and text; the NumPy row may warn, the public step
+    # warns nothing
+    outcomes = set()
+    for index, x, g, cfg, seed in lmwu_call_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            public = _call(lmwu_step, x, g, cfg, seed)
+        with np.errstate(all="ignore"):
+            expected = _call(numpy_lmwu, x, g, cfg, seed)
+        assert public == expected, index
+        outcomes.add(public[0] if len(public) == 2 else public[3:])
+    # points plain, resampled, clamped; below-floor points and each failure
+    assert {(False, False), (False, True), (True, True), ValueError,
+            StepFailureError} <= outcomes
 
 
 # NumPy's AVX-512 dispatch targets, and every dispatch target (the baseline

@@ -1,5 +1,6 @@
 """Unit tests for the simplex geometry primitives."""
 import math
+import warnings
 from functools import reduce
 from operator import add
 
@@ -23,6 +24,17 @@ from simplex_langevin.geometry import (
     _simplex_point,
     sample_noise,
     shahshahani_gradient,
+)
+from simplex_langevin.objectives import (
+    PortfolioLoss,
+    finite_difference_gradient,
+    portfolio_moments,
+)
+from simplex_langevin.optimizers import (
+    LmwuConfig,
+    lmwu_step,
+    mwu_linear_step,
+    projected_langevin_step,
 )
 
 
@@ -427,3 +439,56 @@ class TestLiftToInterior:
             z = lift_to_interior(p, floor=1e-9)
             assert z.min() >= 1e-9
             assert abs(z.sum() - 1.0) < 1e-12
+
+
+# every function under the point rule, by id: (call, the point's name, the
+# partner's name or None). A call takes the point, then its partner if any.
+LOSS = PortfolioLoss(np.array([[0.01, 0.02, -0.01], [0.0, 0.01, 0.02]]),
+                     np.array([0.5, 0.5]))
+POINT_RULE = {
+    "simplex-point": (lambda x: _simplex_point(x, 1e-12), "init", None),
+    "tangent-vector": (TangentVector, "base", "components"),
+    "exp-map": (exp_map, "point", "tangent"),
+    "log-map": (log_map, "x", "y"),
+    "distance": (distance_sq_barycenter, "x", None),
+    "projection": (euclidean_simplex_projection, "y", None),
+    "lift": (lift_to_interior, "x", None),
+    "retraction": (normalize_retraction, "raw", None),
+    "portfolio-moments": (lambda w: portfolio_moments(LOSS, w), "w", None),
+    "portfolio-lambdas": (lambda lam: PortfolioLoss(LOSS.returns, lam),
+                          "lambdas", None),
+    "gradient-oracle": (lambda x: finite_difference_gradient(np.sum, x),
+                        "point", None),
+    "linear-mwu-step": (lambda x, g: mwu_linear_step(x, g, 0.1),
+                        "point", "gradient"),
+    "lmwu-step": (lambda x, g: lmwu_step(
+        x, g, LmwuConfig(eps=0.1, beta=1.0, max_iters=1),
+        np.random.default_rng(0)), "point", "gradient"),
+    "proj-langevin-step": (lambda x, g: projected_langevin_step(
+        x, g, 0.1, 1.0, np.random.default_rng(0)), "point", "gradient"),
+}
+BAD_POINTS = {"2-d": np.full((2, 3), 1 / 3), "0-d": np.array(0.5),
+              "empty": np.array([])}
+
+
+@pytest.mark.parametrize("function, case", [
+    (function, case) for function, (_, _, partner) in POINT_RULE.items()
+    for case in [*BAD_POINTS, *(["partner"] if partner else [])]])
+def test_point_rule_has_one_text(function, case):
+    # a point that is not a nonempty 1-D vector, with a partner of its own
+    # shape, or a partner of another shape: a ValueError with the rule's
+    # text, no other exception and no NumPy warning
+    call, name, partner = POINT_RULE[function]
+    if case == "partner":
+        args = (np.array([0.5, 0.3, 0.2]), np.zeros(2))
+        text = f"dimension mismatch: {name} (3,) vs {partner} (2,)"
+    else:
+        x = BAD_POINTS[case]
+        args = (x,) if partner is None else (x, x.copy())
+        text = f"{name} must be a nonempty 1-D vector, got shape {x.shape}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == text

@@ -148,6 +148,18 @@ class TestPortfolioLoss:
         m = portfolio_moments(loss, self.w)
         assert_allclose(m, [0.025, 2.5e-5, 0.0], rtol=1e-12, atol=1e-20)
 
+    @pytest.mark.parametrize("w", [[1.0], [0.2, 0.3, 0.5]])
+    def test_moments_of_a_wrong_length_weight(self, w):
+        # the objective's text for a wrong-length point, not NumPy's matmul
+        loss = PortfolioLoss(self.returns, [0.5, 0.5])
+        with pytest.raises(ValueError) as info:
+            portfolio_moments(loss, w)
+        assert str(info.value) == (
+            f"portfolio_moments expects a vector of length 2, got ({len(w)},)")
+        with pytest.raises(ValueError, match=r"^portfolio expects a vector "
+                           r"of length 2, got \(1,\)$"):
+            portfolio_objective(loss).value_and_grad([1.0])
+
     def test_mean_only_loss_hand_value(self):
         loss = PortfolioLoss(self.returns, [1.0])
         assert_allclose(portfolio_objective(loss).value(self.w), -0.025,

@@ -15,7 +15,9 @@ byte-identical on the battery when their manifests are equal:
     cmp a/manifest.txt b/manifest.txt
 
 The portfolio panel comes from ``perfbench.workloads.write_panel`` (seed 1),
-so the battery exercises the same panel as the benchmark.
+so the battery exercises the same panel as the benchmark. Next to it go the
+``--config`` files of the ``config-*`` labels (``CONFIGS``): one JSON object,
+one of ``key=value`` lines, and one that is not UTF-8.
 """
 from __future__ import annotations
 
@@ -41,6 +43,16 @@ PRESETS = ("increasing", "degenerate", "mv", "mvs", "mvsk", "equal")
 # invocations run one directory below the battery root, next to the panel
 PANEL = os.path.join("..", "panel.csv")
 PANEL_WINDOW = ["--window", "250"]
+
+# the --config files written next to the panel, by name
+CONFIGS = {
+    "config.json": b'{"objective": "f1", "init": "paper", "iters": 2000, '
+                   b'"seed": 3, "eps": 0.0001}\n',
+    "config.txt": b"# f1 from the paper's init\r\nobjective = f1\r\n"
+                  b"init=paper\r\n\r\nmethod=lmwu\r\nsamples=8\r\n"
+                  b"iters=2000\r\nseed=3\r\n",
+    "config-latin1.txt": b"# caf\xe9\nobjective=f1\n",
+}
 
 ENTRY = ("import sys; from simplex_langevin.cli import main; "
          "raise SystemExit(main(sys.argv[1:]))")
@@ -156,6 +168,13 @@ def invocations() -> list[tuple[str, list[str]]]:
         "optimize", "--objective", "f1", "--init", "0.3,0.3,0.3"]))
     runs.append(("usage-unknown-method", [
         "optimize", "--objective", "f1", "--method", "warp"]))
+    # run configs from a --config file: JSON, and key=value lines with CRLF
+    runs.append(("config-json-compare-f1", [
+        "compare", "--config", os.path.join("..", "config.json")]))
+    runs.append(("config-kv-sweep-f1", [
+        "sweep", "--config", os.path.join("..", "config.txt")]))
+    runs.append(("fail-config-not-utf8", [
+        "optimize", "--config", os.path.join("..", "config-latin1.txt")]))
     return runs
 
 
@@ -197,6 +216,9 @@ def run(src: str, out: str) -> str:
     """Run the battery against ``src`` into ``out``; returns the manifest path."""
     os.makedirs(out, exist_ok=False)
     write_panel(os.path.join(out, "panel.csv"), seed=1)
+    for name, data in CONFIGS.items():
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(data)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     lines = [environment()]
