@@ -7,9 +7,9 @@ drift of the metric Brownian motion, multiplicative Gaussian noise draws, the
 normalizing retraction that keeps iterates on the simplex, and the exact
 Euclidean projection used by the projected-Langevin baseline.
 
-All functions operate on plain 1-D float64 numpy arrays; ``christoffel_drift``
-and ``shahshahani_gradient`` also take (K, n) stacks of points, row by row.
-Their floor repair, ``_pin_floor``, works on the float lists the steps hold.
+All functions operate on plain 1-D float64 numpy arrays; only
+``christoffel_drift`` also takes (K, n) stacks of points, row by row. The
+floor repair, ``_pin_floor``, works on the float lists the steps hold.
 """
 from __future__ import annotations
 
@@ -72,6 +72,12 @@ def _points(**named) -> list[np.ndarray]:
     return list(arrays.values())
 
 
+def _require_floor(x: np.ndarray, floor: float) -> None:
+    """The floor rule of an ``lmwu`` point: each coordinate >= ``floor`` (NaN fails)."""
+    if not x.min() >= floor:
+        raise ValueError(f"coordinate {x[~(x >= floor)][0]:.3e} below floor {floor:.3e}")
+
+
 def _no_room(floor: float, n: int) -> ValueError:
     return ValueError(f"floor {floor:.3e} is too large for dimension {n}")
 
@@ -127,12 +133,9 @@ def shahshahani_gradient(x: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
     into the direction multiplicative updates follow.
 
     Raises:
-        ValueError: on dimension mismatch.
+        ValueError: the point rule on ``x`` and ``euclid_grad``.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(euclid_grad, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape} vs gradient {g.shape}")
+    x, g = _points(point=x, gradient=euclid_grad)
     return x * g
 
 
@@ -195,16 +198,13 @@ def christoffel_drift(
         floor: positivity floor below which the 1/x_j sums are untrusted.
 
     Raises:
-        ValueError: ``eps`` or ``beta`` not a positive finite float, or any
-            coordinate below ``floor``.
+        ValueError: ``eps`` or ``beta`` not a positive finite float, or a
+            coordinate below ``floor`` or NaN.
     """
     x = np.asarray(x, dtype=float)
     _require_positive("eps", eps)
     _require_positive("beta", beta)
-    if x.min() < floor:
-        raise ValueError(
-            f"coordinate {x.min():.3e} below floor {floor:.3e}"
-        )
+    _require_floor(x, floor)
     n = x.shape[-1]
     s = _left_sum(1.0 / x)[..., None]
     return (0.5 * eps / beta) * (n + 1.0 - (1.0 + x) * s)
@@ -226,7 +226,7 @@ def sample_noise(
     drift is deterministic at ``x``); identical seeds give bit-identical
     draws either way.
     """
-    x = np.asarray(x, dtype=float)
+    (x,) = _points(point=x)
     drift = christoffel_drift(x, eps, beta, floor=floor)
     scale = np.sqrt((2.0 * eps / beta) * x)
     shape = x.shape if size is None else (int(size), x.size)

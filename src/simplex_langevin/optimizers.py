@@ -33,15 +33,15 @@ from .geometry import (
     _left_sum,
     _pin_floor,
     _points,
+    _require_floor,
     _require_positive,
     _simplex_point,
-    christoffel_drift,
-    shahshahani_gradient,
     # no step calls these; perfbench/tracing.py wraps them in this namespace
     euclidean_simplex_projection,  # noqa: F401
     lift_to_interior,  # noqa: F401
     normalize_retraction,  # noqa: F401
     sample_noise,  # noqa: F401
+    shahshahani_gradient,  # noqa: F401
 )
 from .objectives import Objective
 
@@ -101,6 +101,13 @@ class StepFailureError(RuntimeError):
         return f"{base} ({', '.join(where)})" if where else base
 
 
+def _seed_rule(seed):
+    """The seed rule of every run: a non-negative integer, returned as is."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return seed
+
+
 @dataclass(frozen=True)
 class LmwuConfig:
     """Run configuration shared by all methods.
@@ -124,9 +131,7 @@ class LmwuConfig:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError("seed must be a non-negative integer")
+        _seed_rule(self.seed)
         if not (0.0 < self.floor < 1.0):
             raise ValueError("floor must lie in (0, 1)")
 
@@ -245,6 +250,7 @@ def lmwu_step(
     point, each attempt drawing ``rng.standard_normal(n)``.
 
     Raises:
+        ValueError: the point rule, or a coordinate of ``x`` below the floor or NaN.
         StepFailureError: resample budget exhausted with the component sum
             still <= floor, or a point off the simplex (an accepted +inf
             numerator, as a −inf gradient coordinate gives).
@@ -275,9 +281,11 @@ def projected_langevin_step(
 
 
 def _one_point_step(method: Method, x, grad, cfg: LmwuConfig, rng=None):
-    """The public steps: the point rule on ``x`` and ``grad``, then the float
-    step on that one point, each draw ``rng.standard_normal(n)``."""
+    """The public steps: the point rule on ``x`` and ``grad`` (for ``lmwu``
+    the floor rule too), then the float step, each draw ``rng.standard_normal(n)``."""
     x, grad = _points(point=x, gradient=grad)
+    if method is Method.LMWU:
+        _require_floor(x, cfg.floor)
     draws = iter(lambda: rng.standard_normal(x.size).tolist(), None)
     point, clamped, resampled = _float_step(method, x.size, cfg, draws)(
         x.tolist(), grad.tolist())
@@ -358,17 +366,14 @@ def _float_step(method: Method, n: int, cfg: LmwuConfig, draws):
     ``math.exp`` (as ``exp_map`` and f1, f2 do), and the clamp and the lift
     call ``_pin_floor``. It raises every step failure itself. Where a rule
     forms no point (a NaN gradient coordinate, or ±inf where ∞ − ∞ arises),
-    the point is all NaN, which the simplex check rejects.
+    the point is all NaN, which the simplex check rejects. ``lmwu`` leaves
+    the floor rule of its point to ``lmwu_step`` and the run loops.
     """
     eps, beta, floor = float(cfg.eps), float(cfg.beta), float(cfg.floor)
     drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
     sd = math.sqrt(noise_c)
 
     def lmwu(x, g):
-        if not min(x) >= floor:
-            if not any(map(math.isnan, x)):
-                raise ValueError(f"coordinate {min(x):.3e} below floor {floor:.3e}")
-            x = [math.nan] * n  # NaN passes, as NumPy's min; every sum is then NaN
         s_x = _left_sum([1.0 / v for v in x])
         terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
                   math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
@@ -549,15 +554,16 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
     Returns the new points of the rows before the first row that failed,
     their clamped and resampled masks, and that row's (index, error) or
     None."""
-    floor = cfg.floor
+    eps, beta, floor = float(cfg.eps), float(cfg.beta), float(cfg.floor)
     # overflowing inputs (ε·g or the drift at ±inf, inf − inf in a sum, an
     # accepted +inf numerator: inf / inf) end in the step's own error
     with np.errstate(over="ignore", invalid="ignore"):
-        # a draw z gives the numerator base + (drift + scale * z), the
-        # base + sample_noise(...) of the same z
-        base = x - cfg.eps * shahshahani_gradient(x, grad)
-        drift = christoffel_drift(x, cfg.eps, cfg.beta, floor=floor)
-        scale = np.sqrt((2.0 * cfg.eps / cfg.beta) * x)
+        # a draw z gives the numerator base + (drift + scale * z), the terms
+        # of the float lmwu; each row is at or above the floor, as there
+        base = x - eps * (x * grad)
+        s_x = _left_sum(1.0 / x)[:, None]
+        drift = (0.5 * eps / beta) * (x.shape[1] + 1.0 - (1.0 + x) * s_x)
+        scale = np.sqrt((2.0 * eps / beta) * x)
         numer = base + (drift + scale * take(np.arange(len(x))))
         total = _left_sum(numer)
         ok = (total > floor) & (numer.min(axis=-1) > 0.0)
@@ -613,9 +619,8 @@ def run_chains(
     if len(objective.block_dims) != 1:
         raise ValueError("run_chains takes single-simplex objectives only")
     x, layout = _initial_point(objective, init, cfg.floor)
-    # each seed passes through the config its run_optimizer twin gets, so
-    # the seed rule holds here too
-    seeds = [replace(cfg, seed=s).seed for s in seeds]
+    # every seed meets its run_optimizer twin's rule before any chain runs
+    seeds = [_seed_rule(s) for s in seeds]
     if not seeds:
         raise ValueError("run_chains needs at least one seed")
     if method is not Method.LMWU:

@@ -12,11 +12,12 @@ on products of two simplices, and on gradients with NaN, ±inf and huge
 coordinates. Those NumPy steps are ``optimizers._lmwu_rows`` (the batch of
 ``run_chains``) on one row, ``exp_map``, and a plain NumPy transcription of
 the ``linear-mwu`` and ``proj-langevin`` rules kept here; the public
-``lmwu_step``, itself the float step on one point, is checked against that
-row on seeded edge inputs. Both add every sum left to right, so n >= 8,
-where ``ndarray.sum`` adds pairwise, is no exception. The last check runs the
-``exp`` paths in child processes with NumPy's SIMD targets disabled, and
-requires the same bytes as on the full CPU.
+``lmwu_step``, itself the floor rule and the float step on one point, is
+checked against the floor rule and that row on seeded edge inputs. Both add
+every sum left to right, so n >= 8, where ``ndarray.sum`` adds pairwise, is
+no exception. The last check runs the ``exp`` paths in child processes with
+NumPy's SIMD targets disabled, and requires the same bytes as on the full
+CPU.
 """
 import itertools
 import math
@@ -37,6 +38,7 @@ from simplex_langevin.geometry import (
     SUM_TOL,
     _left_simplex,
     _left_sum,
+    _require_floor,
     euclidean_simplex_projection,
     exp_map,
     lift_to_interior,
@@ -119,12 +121,14 @@ def per_seed_runs(case: Case):
     return trajs, None
 
 
-def assert_on_simplex(point: np.ndarray, case: Case) -> None:
-    assert np.isfinite(point).all()
-    assert abs(float(point.sum()) - 1.0) <= SUM_TOL
-    assert point.min() > 0.0
+def assert_on_simplex(points: np.ndarray, case: Case) -> None:
+    """Each point (or each row of a stack) is finite, sums to 1 and is
+    positive; for the ``FLOORED`` methods, at or above the floor."""
+    assert np.isfinite(points).all()
+    assert (np.abs(points.sum(axis=-1) - 1.0) <= SUM_TOL).all()
+    assert points.min() > 0.0
     if case.method in FLOORED:
-        assert point.min() >= case.cfg.floor
+        assert points.min() >= case.cfg.floor
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +139,17 @@ def references():
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_chains_equal_per_seed_runs(references, method):
-    # the same ends bit for bit, or the lowest failing seed's failure
+    # the same ends bit for bit, or the lowest failing seed's failure; every
+    # recorded iterate of the per-seed runs is on the simplex (at or above
+    # the floor for the FLOORED methods), the invariant the lmwu kernels
+    # rely on in place of a floor check of their own
     checked = 0
     for case, trajs, failure in references:
         if case.method is not method:
             continue
         checked += 1
         for traj in trajs:
-            assert_on_simplex(traj.final_point, case)
+            assert_on_simplex(traj.points, case)
         if failure is not None:
             with pytest.raises(StepFailureError) as info:
                 run_chains(method, case.objective, case.init, case.cfg,
@@ -198,9 +205,11 @@ def numpy_proj_langevin(x, g, eps, beta, rng, floor):
 
 
 def numpy_lmwu(x, g, cfg, rng):
-    """The ``lmwu`` rule in NumPy: ``optimizers._lmwu_rows``, the batch of
-    ``run_chains``, on the one row ``x``, each attempt drawing
-    ``rng.standard_normal(n)``, with its clamped and resampled flags."""
+    """The ``lmwu`` rule in NumPy: the floor rule on ``x``, then
+    ``optimizers._lmwu_rows``, the batch of ``run_chains``, on the one row
+    ``x``, each attempt drawing ``rng.standard_normal(n)``, with its
+    clamped and resampled flags."""
+    _require_floor(x, cfg.floor)
     points, clamped, resampled, failure = optimizers._lmwu_rows(
         x[None], g[None], cfg, lambda rows: rng.standard_normal((rows.size, x.size)))
     if failure is not None:
@@ -497,18 +506,39 @@ def _call(step, x, g, cfg, seed):
     return point.dtype, point.shape, point.tobytes(), clamped, resampled
 
 
+# points the floor rule rejects, each with the text that names its first
+# failing coordinate: +0.0 and −0.0 below the floor in either order, NaN,
+# and NaN with 0.0
+FLOOR_POINTS = [
+    ([0.5, 0.0, -0.0, 0.5], "coordinate 0.000e+00 below floor 1.000e-12"),
+    ([0.5, -0.0, 0.0, 0.5], "coordinate -0.000e+00 below floor 1.000e-12"),
+    ([0.5, math.nan, 0.5], "coordinate nan below floor 1.000e-12"),
+    ([0.5, math.nan, 0.0, 0.5], "coordinate nan below floor 1.000e-12"),
+    ([0.0, 0.5, math.nan, 0.5], "coordinate 0.000e+00 below floor 1.000e-12"),
+]
+
+
+def floor_point_cases():
+    """The ``FLOOR_POINTS`` as ``lmwu_call_cases`` gives its calls."""
+    cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
+    for index, (x, _) in enumerate(FLOOR_POINTS, start=LMWU_CALLS):
+        yield index, np.array(x), np.zeros(len(x)), cfg, 0
+
+
 def test_public_lmwu_step_equals_the_numpy_row():
     # every call gives the NumPy row's point bytes and flags, or its
     # exception type and text; the NumPy row may warn, the public step
-    # warns nothing
+    # warns nothing. The floor points follow the generated calls.
     outcomes = set()
-    for index, x, g, cfg, seed in lmwu_call_cases():
+    for index, x, g, cfg, seed in [*lmwu_call_cases(), *floor_point_cases()]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             public = _call(lmwu_step, x, g, cfg, seed)
         with np.errstate(all="ignore"):
             expected = _call(numpy_lmwu, x, g, cfg, seed)
         assert public == expected, index
+        if index >= LMWU_CALLS:
+            assert public == (ValueError, FLOOR_POINTS[index - LMWU_CALLS][1])
         outcomes.add(public[0] if len(public) == 2 else public[3:])
     # points plain, resampled, clamped; below-floor points and each failure
     assert {(False, False), (False, True), (True, True), ValueError,

@@ -454,6 +454,9 @@ POINT_RULE = {
     "projection": (euclidean_simplex_projection, "y", None),
     "lift": (lift_to_interior, "x", None),
     "retraction": (normalize_retraction, "raw", None),
+    "metric-gradient": (shahshahani_gradient, "point", "gradient"),
+    "noise": (lambda x: sample_noise(x, 0.1, 1.0, np.random.default_rng(0)),
+              "point", None),
     "portfolio-moments": (lambda w: portfolio_moments(LOSS, w), "w", None),
     "portfolio-lambdas": (lambda lam: PortfolioLoss(LOSS.returns, lam),
                           "lambdas", None),

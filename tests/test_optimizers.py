@@ -672,15 +672,31 @@ class TestRunChains:
             assert str(info.value).startswith(message)
             assert str(info.value).endswith(" (iteration 1)")
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
-    def test_seeds_follow_the_config_seed_rule(self, seed):
+    @pytest.mark.parametrize("seeds", [
+        [0, -1], [0, 1.5], [0, True], [0, None],
+        [*range(4 * optimizers._CHAIN_SLICE), -1],
+    ], ids=["-1", "1.5", "True", "None", "after-many-valid"])
+    def test_seeds_follow_the_config_seed_rule(self, seeds, monkeypatch):
+        # every seed is checked before any chain runs, the last of a long
+        # list too
+        def chain_ran(*args, **kwargs):
+            raise AssertionError("a chain ran before every seed was checked")
+
+        monkeypatch.setattr(optimizers, "_run_slice", chain_ran)
         obj, init, cfg = chain_case("f1")
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            run_chains("lmwu", obj, init, cfg, [0, seed])
+            run_chains("lmwu", obj, init, cfg, seeds)
 
     def test_numpy_integer_seed_accepted(self):
         obj, init, cfg = chain_case("f1")
         assert_chains_match_runs("lmwu", obj, init, cfg, [np.int64(3)])
+
+    def test_float32_step_size_gives_the_runs_bits(self):
+        # both lmwu kernels take ε and β as Python floats, so a float32 ε
+        # forms the same drift coefficient in the batch as in the run
+        obj, init, cfg = chain_case("f1")
+        cfg = replace(cfg, eps=np.float32(1e-3))
+        assert_chains_match_runs("lmwu", obj, init, cfg, [0, 1, 2])
 
     def test_rejects_multi_block_objective_and_no_seeds(self):
         cfg = LmwuConfig(eps=1e-3, beta=50.0, max_iters=3)
