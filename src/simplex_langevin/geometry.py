@@ -198,10 +198,12 @@ def christoffel_drift(
         floor: positivity floor below which the 1/x_j sums are untrusted.
 
     Raises:
-        ValueError: ``eps`` or ``beta`` not a positive finite float, or a
-            coordinate below ``floor`` or NaN.
+        ValueError: the point rule on a 0-d or empty ``x``, ``eps`` or
+            ``beta`` not positive finite, or a coordinate below ``floor`` or NaN.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.size == 0:
+        _points(x=x)
     _require_positive("eps", eps)
     _require_positive("beta", beta)
     _require_floor(x, floor)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,9 +76,10 @@ class Objective:
     def values_and_grads(self, points) -> tuple[np.ndarray, np.ndarray]:
         """(K,) values and (K, dim) gradients at the K rows of ``points``.
 
-        Row k is bit-identical to ``value_and_grad(points[k])``: f1 and f2
-        are evaluated in one vectorized pass, every other ``fn`` row by row
-        through its float form, from one ``tolist()`` of the stack.
+        Row k is bit-identical to ``value_and_grad(points[k])``: f1, f2 and
+        the portfolio loss are evaluated in one pass over the stack, every
+        other ``fn`` row by row through its float form, from one ``tolist()``
+        of the stack.
         """
         p = np.asarray(points, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.dim:
@@ -369,18 +371,26 @@ class PortfolioLoss:
         return self.lambdas.size
 
 
-def _moments(loss: PortfolioLoss, w, top: int) -> tuple[list, list]:
-    """Moments [m_1, ..., m_top] at ``w`` as floats, and the powers
-    [c, c·c, c·c·c, ...] of the centred return series c = p − m_1 up to
-    c^top, each one multiplication from the last."""
-    p = loss.returns @ np.asarray(w, dtype=float)
-    t_count = p.size
-    mu = float(np.add.reduce(p)) / t_count
+def _moments(loss: PortfolioLoss, w: np.ndarray, top: int) -> tuple[list, list]:
+    """Moments [m_1, ..., m_top] at ``w`` as floats, or (K, 1) columns at a
+    (K, n) stack, and the powers [c, c·c, ...] of the centred series
+    c = p − m_1 up to c^top, each one multiplication from the last. A stack's
+    rows keep their bits alone: p is one gemv per row, a matmul over (n, 1)
+    columns (a (T, n) @ (n, K) gemm rounds differently), reduced by row."""
+    t_count = loss.returns.shape[0]
+    stack = w.ndim == 2
+    p = (loss.returns @ w[:, :, None])[:, :, 0] if stack else loss.returns.dot(w)
+
+    def mean(a):
+        if stack:
+            return np.add.reduce(a, axis=-1, keepdims=True) / t_count
+        return float(np.add.reduce(a)) / t_count
+
+    mu = mean(p)
     powers = [p - mu]
     for _ in range(top - 1):
         powers.append(powers[-1] * powers[0])
-    m = [mu] + [float(np.add.reduce(c_k)) / t_count for c_k in powers[1:]]
-    return m, powers
+    return [mu] + [mean(c_k) for c_k in powers[1:]], powers
 
 
 def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
@@ -392,36 +402,44 @@ def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     return np.array(_moments(loss, w, loss.order)[0])
 
 
-def _portfolio_value_and_grad(loss: PortfolioLoss, w: list) -> tuple[float, list]:
-    """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``.
+def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple:
+    """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``: a
+    float and a gradient list at one weight vector, (K,) values and (K, n)
+    gradients at a (K, n) stack (see :func:`_moments`).
 
     ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
     ∂m_k/∂w = (k/T)·Σ_t c_t^{k−1} (r_t − r̄) with c = p − μ. The gradient
     sums the series Σ_k (−1)^k λ_k (k/T)·c^{k−1} over the orders with
-    λ_k ≠ 0 and takes one product of it with the centred panel. No power
-    above the highest order with λ_k ≠ 0 is built.
+    λ_k ≠ 0 and takes one product of it with the centred panel, a mat-vec
+    per row. No power above the highest order with λ_k ≠ 0 is built.
     """
+    w = np.asarray(w, dtype=float)
     m, powers = _moments(loss, w, loss._top)
     coef = loss._coef.tolist()
     value = 0.0
     for coef_k, m_k in zip(coef, m):
         value += coef_k * m_k
-    if loss._top == 1:
-        return value, loss._mean_grad.tolist()
-    t_count = powers[0].size
-    terms = [(coef[k - 1] * k / t_count) * powers[k - 2]
-             for k in range(2, loss._top + 1) if coef[k - 1] != 0.0]
-    series = sum(terms[1:], terms[0])
-    return value, (loss._mean_grad + series @ loss._centred).tolist()
+    grad = loss._mean_grad
+    if loss._top > 1:
+        t_count = loss.returns.shape[0]
+        terms = [(coef[k - 1] * k / t_count) * powers[k - 2]
+                 for k in range(2, loss._top + 1) if coef[k - 1] != 0.0]
+        series = sum(terms[1:], terms[0])
+        grad = grad + (series.dot(loss._centred) if w.ndim == 1 else
+                       (series[:, None, :] @ loss._centred)[:, 0, :])
+    if w.ndim == 1:
+        return value, grad.tolist()
+    return value[:, 0], grad if loss._top > 1 else np.tile(grad, (len(w), 1))
 
 
 def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objective:
     """Wrap a :class:`PortfolioLoss` as a single-block :class:`Objective`."""
+    kernel = partial(_portfolio_value_and_grad, loss)
     return Objective(
         name=name,
         dim=loss.n_assets,
         block_dims=(loss.n_assets,),
-        fn=_OnFloats(lambda w: _portfolio_value_and_grad(loss, w)),
+        fn=_OnFloats(kernel, kernel),
     )
 
 

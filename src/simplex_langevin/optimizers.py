@@ -508,6 +508,37 @@ def run_optimizer(
     return Trajectory(points, f_values, clamped, resampled)
 
 
+def _final_points(objective: Objective, chains, iters: int) -> list:
+    """Where each ``(method, init, cfg)`` chain ends after ``iters`` steps:
+    the final point of ``run_optimizer(method, objective, init,
+    replace(cfg, max_iters=iters))`` bit for bit, or the ``StepFailureError``
+    it raises. The chains take their float steps in lockstep, with one
+    ``values_and_grads`` call per step over the chains still running (a lone
+    chain takes the faster float form), and keep no history."""
+    steps, live = [], {}
+    for c, (method, init, cfg) in enumerate(chains):
+        x, layout = _initial_point(objective, init, cfg.floor)
+        steps.append(layout.step(method, cfg))
+        live[c] = x.tolist()
+    ends = [None] * len(chains)
+    evaluate = objective._on_floats()
+    for k in range(1, iters + 1):
+        if len(live) > 1:
+            grads = objective.values_and_grads(np.array([*live.values()]))[1].tolist()
+        else:
+            grads = [evaluate(x)[1] for x in live.values()]
+        for (c, x), grad in zip(list(live.items()), grads):
+            try:
+                live[c] = steps[c](x, grad)[0]
+            except StepFailureError as exc:
+                exc.iteration = k
+                ends[c] = exc
+                del live[c]
+    for c, x in live.items():
+        ends[c] = np.array(x)
+    return ends
+
+
 class ChainEnds(NamedTuple):
     """Where the chains of :func:`run_chains` ended, one row per seed: the
     (K, n) final points, the (K,) final values and the (K,) lowest values

@@ -5,7 +5,7 @@ A returns CSV (``date,asset1,...,assetn``) is loaded into a
 over it, fits portfolio weights per window by minimizing the λ-weighted
 moment loss with any supported optimizer, and scores each fit on the
 following period. :func:`compare_methods` runs the full methods × presets
-grid.
+grid, fitting the methods of each preset in lockstep.
 
 Out-of-sample loss comes in two labeled variants (see ``VARIANTS``):
 ``literal`` applies the moment loss to the single next-period return, which
@@ -28,7 +28,9 @@ import numpy as np
 from .geometry import barycenter, lift_to_interior
 from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
 from .objectives import _check_lambdas
-from .optimizers import LmwuConfig, Method, StepFailureError, run_optimizer
+from .optimizers import LmwuConfig, Method, StepFailureError, _final_points
+# no fit calls it; perfbench/tracing.py wraps it in this namespace
+from .optimizers import run_optimizer  # noqa: F401
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -132,6 +134,8 @@ class EvaluationReport:
 
     ``dates`` are the scored periods (panel rows ``window`` .. T−1), and
     ``score`` is the arithmetic mean of ``per_period_losses``.
+    ``runtime_seconds`` is the wall time of the lockstep batch that fitted
+    the cell with the other methods of its preset, divided by its cells.
     """
 
     method: str
@@ -285,7 +289,7 @@ def rolling_window_evaluate(
     ``variant``. Each window fit draws its noise from a seed derived from
     ``cfg.seed`` and the window index, so reports are reproducible and the
     fit for period t never reads row t or later. The score is the mean
-    per-period loss.
+    per-period loss. It is the one-cell case of :func:`compare_methods`.
 
     Args:
         warm_start: start each fit from the previous window's weights
@@ -297,7 +301,19 @@ def rolling_window_evaluate(
         StepFailureError: an optimizer step failed; its ``period`` is the
             1-based panel row being scored.
     """
-    method = Method(method)
+    (cell,) = _fit_cells(panel, preset, cfg, [(Method(method), cfg.seed)],
+                         window, variant, warm_start)
+    if isinstance(cell, StepFailureError):
+        raise cell
+    return cell
+
+
+def _fit_cells(panel, preset, cfg, cells, window, variant, warm_start) -> list:
+    """Each ``(method, seed)`` cell's report on one preset under ``cfg``
+    with the cell's seed, or its ``StepFailureError``, located by period.
+    Window by window the fits share one :class:`PortfolioLoss` and step in
+    lockstep; a failed cell leaves the batch. ``runtime_seconds`` is the
+    batch's wall time divided by its cells."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
     t_total = panel.n_periods
@@ -308,40 +324,33 @@ def rolling_window_evaluate(
             f"window {window} must be smaller than the panel length {t_total}"
         )
 
-    w_init = barycenter(panel.n_assets)
-    losses = np.empty(t_total - window)
+    inits = [barycenter(panel.n_assets)] * len(cells)
+    losses = [np.empty(t_total - window) for _ in cells]
+    ends = [None] * len(cells)
     started = time.perf_counter()
     for j in range(t_total - window):
-        fit_rows = panel.returns[j : j + window]
-        loss_window = PortfolioLoss(fit_rows, preset.lambdas)
-        objective = portfolio_objective(
-            loss_window, name=f"portfolio[{preset.name}]"
-        )
-        fit_cfg = replace(cfg, seed=_child_seed(cfg.seed, j))
-        try:
-            traj = run_optimizer(
-                method, objective, lift_to_interior(w_init, floor=cfg.floor),
-                fit_cfg,
+        live = [c for c, end in enumerate(ends) if end is None]
+        if not live:
+            break
+        loss_window = PortfolioLoss(panel.returns[j : j + window], preset.lambdas)
+        objective = portfolio_objective(loss_window, name=f"portfolio[{preset.name}]")
+        chains = [(cells[c][0], lift_to_interior(inits[c], floor=cfg.floor),
+                   replace(cfg, seed=_child_seed(cells[c][1], j))) for c in live]
+        for c, w_hat in zip(live, _final_points(objective, chains, cfg.max_iters)):
+            if isinstance(w_hat, StepFailureError):
+                w_hat.period = window + j + 1
+                ends[c] = w_hat
+                continue
+            losses[c][j] = _out_of_sample_loss(
+                loss_window, w_hat, panel.returns[window + j], variant
             )
-        except StepFailureError as exc:
-            exc.period = window + j + 1
-            raise
-        w_hat = traj.final_point
-        losses[j] = _out_of_sample_loss(
-            loss_window, w_hat, panel.returns[window + j], variant
-        )
-        if warm_start:
-            w_init = w_hat
-    runtime = time.perf_counter() - started
-    return EvaluationReport(
-        method=method.value,
-        preset=preset.name,
-        window=window,
-        variant=variant,
-        dates=panel.dates[window:],
-        per_period_losses=losses,
-        runtime_seconds=runtime,
-    )
+            if warm_start:
+                inits[c] = w_hat
+    elapsed = time.perf_counter() - started
+    return [end or EvaluationReport(method.value, preset.name, window, variant,
+                                    panel.dates[window:], loss,
+                                    elapsed / len(cells))
+            for end, (method, _), loss in zip(ends, cells, losses)]
 
 
 def compare_methods(
@@ -356,33 +365,33 @@ def compare_methods(
 ) -> tuple[dict[tuple[str, str], EvaluationReport],
            dict[tuple[str, str], StepFailureError]]:
     """Evaluate every method x preset cell; returns ``(reports, failures)``,
-    both keyed by ``(method value, preset name)``.
+    both keyed by ``(method value, preset name)``, method by method.
 
     Cells are independent: each gets a seed derived from ``cfg.seed``, the
     method and the preset name, so its report does not depend on which
     other cells are in the grid; a cell whose fit fails is recorded in
     ``failures`` (its ``StepFailureError``, located by period) instead of
-    aborting the rest of the grid.
+    aborting the rest of the grid. The methods of each preset fit together,
+    one lockstep batch per window, and each cell equals its one-cell grid.
 
     Raises:
-        ValueError: window out of range, unknown variant or floor too large,
-            from the first cell, before any fit.
+        ValueError: unknown method, window out of range, unknown variant or
+            floor too large, before any fit.
     """
-    reports: dict[tuple[str, str], EvaluationReport] = {}
-    failures: dict[tuple[str, str], StepFailureError] = {}
-    for method in map(Method, methods):
+    methods = [Method(m) for m in methods]
+    results = {}
+    for preset in presets:
+        # seeded by the names, not by grid position, so that a cell's fits
+        # do not depend on which other cells were requested; no method
+        # value holds "/"
+        cells = [(m, _child_seed(cfg.seed, *f"{m.value}/{preset.name}".encode()))
+                 for m in methods]
+        fitted = _fit_cells(panel, preset, cfg, cells, window, variant, warm_start)
+        results.update(zip([(m, preset) for m in methods], fitted))
+    reports, failures = {}, {}
+    for method in methods:
         for preset in presets:
-            key = (method.value, preset.name)
-            # seeded by the names, not by grid position, so that a cell's fits
-            # do not depend on which other cells were requested; no method
-            # value holds "/"
-            seed = _child_seed(cfg.seed, *"/".join(key).encode())
-            cell_cfg = replace(cfg, seed=seed)
-            try:
-                reports[key] = rolling_window_evaluate(
-                    panel, preset, method, cell_cfg, window,
-                    variant=variant, warm_start=warm_start,
-                )
-            except StepFailureError as exc:
-                failures[key] = exc
+            cell = results[method, preset]
+            out = failures if isinstance(cell, StepFailureError) else reports
+            out[method.value, preset.name] = cell
     return reports, failures

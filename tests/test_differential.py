@@ -15,7 +15,10 @@ the ``linear-mwu`` and ``proj-langevin`` rules kept here; the public
 ``lmwu_step``, itself the floor rule and the float step on one point, is
 checked against the floor rule and that row on seeded edge inputs. Both add
 every sum left to right, so n >= 8, where ``ndarray.sum`` adds pairwise, is
-no exception. The last check runs the ``exp`` paths in child processes with
+no exception. A second generator draws portfolio grids (panels, presets,
+method subsets, variants, warm and cold starts), and each cell of a grid,
+whose methods fit each preset in lockstep, must equal its one-cell grid,
+failures included. The last check runs the ``exp`` paths in child processes with
 NumPy's SIMD targets disabled, and requires the same bytes as on the full
 CPU.
 """
@@ -53,6 +56,12 @@ from simplex_langevin.optimizers import (
     lmwu_step,
     run_chains,
     run_optimizer,
+)
+from simplex_langevin.portfolio import (
+    VARIANTS,
+    ReturnPanel,
+    RiskPreset,
+    compare_methods,
 )
 
 CASES = 200
@@ -543,6 +552,100 @@ def test_public_lmwu_step_equals_the_numpy_row():
     # points plain, resampled, clamped; below-floor points and each failure
     assert {(False, False), (False, True), (True, True), ValueError,
             StepFailureError} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# portfolio grids: each cell of a grid, whose methods fit each preset in
+# lockstep, equals the cell run alone
+# ---------------------------------------------------------------------------
+
+GRIDS = 40
+
+
+class Grid(NamedTuple):
+    index: int
+    panel: ReturnPanel
+    presets: list[RiskPreset]
+    methods: list[Method]
+    cfg: LmwuConfig
+    window: int
+    variant: str
+    warm_start: bool
+
+
+def generate_grids(count: int = GRIDS, seed: int = 20263) -> list[Grid]:
+    """Panels of n = 2–8 assets with 1–4 scored periods after a window of
+    2–8 rows; 1–3 presets of order 1–5 whose lower orders may weigh 0 (zero
+    middle terms); 1–4 of the methods in a drawn order; ε in 0.1–100 and β
+    in 0.1–1e8, so that some cells fail at a later window or iteration
+    while the other methods of their preset finish."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for index in range(count):
+        n = int(rng.integers(2, 9))
+        window = int(rng.integers(2, 9))
+        periods = window + int(rng.integers(1, 5))
+        scale = 10.0 ** rng.uniform(-2.0, -0.5)
+        returns = np.maximum(rng.uniform(-scale, scale, n)
+                             + scale * rng.standard_t(4, (periods, n)), -0.9)
+        panel = ReturnPanel(tuple(f"d{t}" for t in range(periods)),
+                            tuple(f"a{i}" for i in range(n)), returns)
+        presets = []
+        for p in range(int(rng.integers(1, 4))):
+            order = int(rng.integers(1, 6))
+            lam = rng.random(order) * (rng.random(order) < 0.6)
+            lam[-1] = rng.random() + 0.1
+            presets.append(RiskPreset(f"p{p}", tuple((lam / lam.sum()).tolist())))
+        methods = [Method(m) for m in rng.permutation([m.value for m in Method])
+                   [:int(rng.integers(1, 5))]]
+        cfg = LmwuConfig(eps=10.0 ** rng.uniform(-1.0, 2.0),
+                         beta=10.0 ** rng.uniform(-1.0, 8.0),
+                         max_iters=int(rng.integers(0, 40)),
+                         floor=10.0 ** rng.uniform(-10.0, -3.0),
+                         seed=int(rng.integers(2**31)))
+        grids.append(Grid(index, panel, presets, methods, cfg, window,
+                          str(rng.choice(VARIANTS)), bool(rng.integers(2))))
+    return grids
+
+
+def _grid(grid: Grid, presets, methods):
+    return compare_methods(grid.panel, presets, methods, grid.cfg, grid.window,
+                           variant=grid.variant, warm_start=grid.warm_start)
+
+
+def test_grid_cells_equal_the_cell_alone():
+    failed, mixed, later = 0, 0, 0
+    for grid in generate_grids():
+        reports, failures = _grid(grid, grid.presets, grid.methods)
+        keys = [(m.value, p.name) for m in grid.methods for p in grid.presets]
+        assert list(reports) == [k for k in keys if k in reports], grid.index
+        assert list(failures) == [k for k in keys if k in failures], grid.index
+        for method in grid.methods:
+            for preset in grid.presets:
+                key = (method.value, preset.name)
+                alone, alone_failures = _grid(grid, [preset], [method])
+                if key in failures:
+                    exc, ref = failures[key], alone_failures[key]
+                    assert (str(exc), exc.period, exc.iteration) == (
+                        str(ref), ref.period, ref.iteration), grid.index
+                    failed += 1
+                    mixed += any(k[1] == preset.name for k in reports)
+                    later += exc.period > grid.window + 1
+                    continue
+                assert key not in alone_failures, grid.index
+                assert (reports[key].per_period_losses.tobytes()
+                        == alone[key].per_period_losses.tobytes()), grid.index
+                assert reports[key].score == alone[key].score, grid.index
+    # failures beside methods that finish, and failures past the first window
+    assert failed and mixed and later
+
+
+def test_grids_reach_the_regimes_they_claim():
+    grids = generate_grids()
+    assert {g.variant for g in grids} == set(VARIANTS)
+    assert {g.warm_start for g in grids} == {True, False}
+    assert any(len(g.methods) == len(Method) for g in grids)
+    assert any(0.0 in p.lambdas[:-1] for g in grids for p in g.presets)
 
 
 # NumPy's AVX-512 dispatch targets, and every dispatch target (the baseline

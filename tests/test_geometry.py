@@ -217,6 +217,17 @@ class TestChristoffelDrift:
         with pytest.raises(ValueError, match="below floor"):
             christoffel_drift(np.array([1.0 - 1e-14, 1e-14]), 0.1, 1.0)
 
+    @pytest.mark.parametrize("x", [np.array(0.5), np.array([]), np.ones((3, 0)),
+                                   np.ones((0, 3))],
+                             ids=["0-d", "empty", "rows-of-none", "no-rows"])
+    def test_shapeless_point_takes_the_point_rule(self, x):
+        # the point rule's text, not an IndexError or NumPy's zero-size text
+        with pytest.raises(ValueError) as info:
+            christoffel_drift(x, 0.1, 1.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"x must be a nonempty 1-D vector, got shape {x.shape}")
+
     def test_bad_parameters_rejected(self):
         x = np.array([0.5, 0.5])
         with pytest.raises(ValueError):

@@ -469,6 +469,28 @@ def test_portfolio_kernel_bit_equals_reference(lam, t_count):
 
 @pytest.mark.parametrize("t_count", [2, 7, 250])
 @pytest.mark.parametrize("lam", KERNEL_LAMBDAS.values(), ids=KERNEL_LAMBDAS)
+def test_portfolio_rows_bit_equal_the_single_kernel(lam, t_count):
+    # the (K, n) form runs the powers, reductions and term sums once on the
+    # (K, T) stack; each row must keep the bits of the float kernel alone
+    rng = np.random.default_rng(t_count)
+    returns = rng.standard_t(4, (t_count, 10))
+    obj = portfolio_objective(PortfolioLoss(returns, lam))
+    for k_rows in (1, 3, 12):
+        stack = np.array([interior_point(rng, 10) for _ in range(k_rows)])
+        # rows with half their coordinates at the 1e-6 floor of the fits
+        for k in range(0, k_rows, 2):
+            stack[k, rng.permutation(10)[:5]] = 1e-6
+            stack[k] /= stack[k].sum()
+        values, grads = obj.values_and_grads(stack)
+        assert values.shape == (k_rows,) and grads.shape == (k_rows, 10)
+        for w, value, grad in zip(stack, values, grads):
+            one_value, one_grad = obj.value_and_grad(w)
+            assert np.float64(one_value).tobytes() == value.tobytes()
+            assert one_grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("t_count", [2, 7, 250])
+@pytest.mark.parametrize("lam", KERNEL_LAMBDAS.values(), ids=KERNEL_LAMBDAS)
 def test_portfolio_kernel_matches_exact_reference(lam, t_count):
     rng = np.random.default_rng(t_count)
     # returns of unit scale, so that the higher moments weigh as much as the

@@ -1,8 +1,13 @@
-"""The package's public surface is the union of its modules' ``__all__``."""
+"""The package's public surface is the union of its modules' ``__all__``,
+and every name the benchmark's tracer wraps still exists."""
+import importlib
+import os
+
 import simplex_langevin
 from simplex_langevin import geometry, objectives, optimizers, portfolio
 
 MODULES = (geometry, objectives, optimizers, portfolio)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_module_names_are_the_package_names():
@@ -27,3 +32,25 @@ def test_removed_exception_types_are_gone():
     for module in (simplex_langevin, *MODULES):
         for name in ("RetractionFailureError", "PortfolioFitError"):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    # perfbench/tracing.py reads every name it wraps with getattr: a name the
+    # program drops or renames makes `--trace 1` die at install
+    monkeypatch.syspath_prepend(REPO)
+    tracing = importlib.import_module("perfbench.tracing")
+    package = "simplex_langevin"
+    names = [(importlib.import_module(f"{package}.{module}"), attr)
+             for module, attr, _, _ in tracing.COARSE]
+    names += [(optimizers, attr) for attr in tracing.GEOMETRY_LEAVES]
+    names += [(objectives.Objective, attr) for attr in tracing.OBJECTIVE_LEAVES]
+    originals = [getattr(owner, attr) for owner, attr in names]
+    tracer = tracing.Tracer(package)
+    tracer.install()
+    try:
+        for (owner, attr), original in zip(names, originals):
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in zip(names, originals):
+        assert getattr(owner, attr) is original, attr

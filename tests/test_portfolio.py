@@ -373,7 +373,8 @@ class TestCompareMethods:
         def no_fit(*args):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr("simplex_langevin.portfolio.run_optimizer", no_fit)
+        # the lockstep loop that runs every window's fits
+        monkeypatch.setattr("simplex_langevin.portfolio._final_points", no_fit)
         panel = wiggly_panel(8, 2, seed=3)
         with pytest.raises(ValueError):
             compare_methods(panel, [MEAN_ONLY], ["linear-mwu", "lmwu"],

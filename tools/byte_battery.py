@@ -89,7 +89,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"optimize-returns-{preset}", [
             "optimize", "--returns", PANEL, "--preset", preset]))
     # the panel objective through the single-chain loop of every method,
-    # and through the batched chains' row-by-row evaluation
+    # and through the batched chains' one evaluation of the (K, n) stack
     runs.append(("compare-returns-mvsk", [
         "compare", "--returns", PANEL, "--preset", "mvsk"]))
     runs.append(("sweep-returns-equal", [
@@ -151,6 +151,12 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("fail-portfolio-linear-mwu-eps1000", [
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
+    # lmwu fails mid-grid (mv at iteration 204 of period 251, increasing at
+    # iteration 599 of period 252) while the other methods of each preset
+    # finish in the same lockstep batches
+    runs.append(("fail-portfolio-lmwu-midgrid-eps3", [
+        "portfolio", "--returns", PANEL, "--preset", "increasing,mv",
+        "--eps", "3", *PANEL_WINDOW, "--per-period", "--seed", "0"]))
     runs.append(("usage-unknown-objective", ["optimize", "--objective", "f9"]))
     runs.append(("usage-portfolio-floor0.2", [
         "portfolio", "--returns", PANEL, "--preset", "mv", "--method", "lmwu",
