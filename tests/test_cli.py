@@ -8,14 +8,21 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import simplex_langevin
 from simplex_langevin import cli
-from simplex_langevin.cli import ENV_SEED, main
-from simplex_langevin.optimizers import Trajectory
+from simplex_langevin.cli import ENV_SEED, PAPER_PRESETS, main
+from simplex_langevin.objectives import test_function as benchmark
+from simplex_langevin.optimizers import (
+    LmwuConfig,
+    StepFailureError,
+    Trajectory,
+    run_optimizer,
+)
 
 RETURNS_CSV = """date,a,b
 2021-01-01,0.02,0.001
@@ -232,9 +239,10 @@ class TestExitCodes:
         assert main(["optimize", "--objective", "f1", "--turbo"]) == 2
 
     def test_step_failure_exits_1(self, tmp_path, capsys):
+        # at ε = 1 the base terms x(1 − εg) at f1's paper init sum to −1.41
         code = main([
             "optimize", "--objective", "f1", "--method", "lmwu",
-            "--eps", "0.1", "--beta", "1e-3", "--iters", "10",
+            "--init", "paper", "--eps", "1", "--beta", "1e8", "--iters", "10",
             "--out", str(tmp_path),
         ])
         assert code == 1
@@ -603,15 +611,26 @@ class TestSweep:
         assert "min final f" in out and "median final f" in out
 
     def test_reports_the_first_failing_seed(self, tmp_path, capsys):
-        # seeds 33 and 16 fail at earlier iterations (918 and 1118), but the
-        # per-seed order stops at seed 2, iteration 1191
+        # ε = 0.08 is too large a step for f1: seeds fail, and a later seed
+        # fails at an earlier iteration than the first failing seed, at
+        # which the per-seed order stops
+        cfg = LmwuConfig(eps=0.08, beta=10.0, max_iters=1500)
+        failed_at = {}
+        for seed in range(2, 34):
+            try:
+                run_optimizer("lmwu", benchmark("f1"),
+                              PAPER_PRESETS["f1"].init, replace(cfg, seed=seed))
+            except StepFailureError as exc:
+                failed_at[seed] = exc.iteration
+        first = failed_at[min(failed_at)]
+        assert min(failed_at.values()) < first
         code = main([
             "sweep", "--objective", "f1", "--init", "paper", "--beta", "10",
-            "--iters", "1500", "--seed", "2", "--samples", "32",
+            "--eps", "0.08", "--iters", "1500", "--seed", "2", "--samples", "32",
             "--out", str(tmp_path),
         ])
         assert code == 1
-        assert "(iteration 1191)" in capsys.readouterr().err
+        assert f"(iteration {first})" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -675,13 +694,16 @@ class TestPortfolio:
             "portfolio", "--returns", returns_file, "--out", str(tmp_path),
         ] + extra) == 2
 
-    def test_failed_cell_exits_1_with_empty_score(
-        self, returns_file, tmp_path, capsys
-    ):
+    def test_failed_cell_exits_1_with_empty_score(self, tmp_path, capsys):
+        # both assets lose half each period: at ε = 100 the gradient makes
+        # each base term x(1 − εg) negative, so the first step fails
+        losses = tmp_path / "losses.csv"
+        losses.write_text("date,a,b\n" + "".join(
+            f"2021-01-0{t},-0.5,-0.5\n" for t in range(1, 7)))
         code = main([
-            "portfolio", "--returns", returns_file, "--window", "3",
+            "portfolio", "--returns", str(losses), "--window", "3",
             "--method", "lmwu", "--preset", "equal",
-            "--eps", "0.1", "--beta", "1e-3", "--iters", "5",
+            "--eps", "100", "--beta", "1e8", "--iters", "5",
             "--out", str(tmp_path),
         ])
         assert code == 1

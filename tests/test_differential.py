@@ -3,7 +3,7 @@ reference loops.
 
 One generator draws every case from seeded NumPy: a quadratic objective on
 n = 2–14 coordinates, a Dirichlet init lifted to the floor, a floor in
-1e-12–1e-4, ε in 1e-4–1e-1, β in 0.1–1e4, 1–300 steps and 5 seeds, with
+1e-12–1e-4, ε in 1e-4–1, β in 0.1–1e4, 1–300 steps and 5 seeds, with
 the four methods in turn. A kernel rewrite is checked here against
 ``run_optimizer``, the per-step loop that every other loop must reproduce
 bit for bit; ``run_optimizer``'s float steps are checked against a block
@@ -106,7 +106,7 @@ def generate_cases(count: int = CASES, seed: int = 20251) -> list[Case]:
         alpha = np.full(n, 10.0 ** rng.uniform(-1.5, 1.0))
         init = lift_to_interior(rng.dirichlet(alpha), floor=floor)
         cfg = LmwuConfig(
-            eps=10.0 ** rng.uniform(-4.0, -1.0),
+            eps=10.0 ** rng.uniform(-4.0, 0.0),
             beta=10.0 ** rng.uniform(-1.0, 4.0),
             max_iters=int(rng.integers(1, 301)),
             floor=floor,
@@ -576,7 +576,7 @@ class Grid(NamedTuple):
 def generate_grids(count: int = GRIDS, seed: int = 20263) -> list[Grid]:
     """Panels of n = 2–8 assets with 1–4 scored periods after a window of
     2–8 rows; 1–3 presets of order 1–5 whose lower orders may weigh 0 (zero
-    middle terms); 1–4 of the methods in a drawn order; ε in 0.1–100 and β
+    middle terms); 1–4 of the methods in a drawn order; ε in 0.1–1000 and β
     in 0.1–1e8, so that some cells fail at a later window or iteration
     while the other methods of their preset finish."""
     rng = np.random.default_rng(seed)
@@ -598,7 +598,7 @@ def generate_grids(count: int = GRIDS, seed: int = 20263) -> list[Grid]:
             presets.append(RiskPreset(f"p{p}", tuple((lam / lam.sum()).tolist())))
         methods = [Method(m) for m in rng.permutation([m.value for m in Method])
                    [:int(rng.integers(1, 5))]]
-        cfg = LmwuConfig(eps=10.0 ** rng.uniform(-1.0, 2.0),
+        cfg = LmwuConfig(eps=10.0 ** rng.uniform(-1.0, 3.0),
                          beta=10.0 ** rng.uniform(-1.0, 8.0),
                          max_iters=int(rng.integers(0, 40)),
                          floor=10.0 ** rng.uniform(-10.0, -3.0),

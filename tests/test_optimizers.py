@@ -335,8 +335,10 @@ class TestRunOptimizer:
         assert any(c for c, _ in flags) and any(r for _, r in flags)
 
     def test_step_failure_carries_iteration(self):
+        # at ε = 1 the base terms x(1 − εg) at this point sum to −1.41, far
+        # below what the drift, ε/β = 1e-8, and the noise, sd 1e-4, can lift
         obj = benchmark("f1")
-        cfg = LmwuConfig(eps=0.1, beta=1e-3, max_iters=10)
+        cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=10)
         with pytest.raises(StepFailureError) as info:
             run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], cfg)
         assert info.value.iteration == 1
@@ -466,12 +468,12 @@ class TestMultiBlockRun:
             run_optimizer("lmwu", obj, [0.3, 0.6, 0.1, 0.5, 0.5], self.CFG)
 
     def test_failure_carries_iteration_and_block(self):
-        # ε/2β = 0.01: the drift sum is about −0.06 on the uniform first
-        # block but about −7.9 on the second block, which sits next to a
-        # vertex (S_x ≈ 201), so only the second block degenerates
+        # the second block's gradient makes each of its base terms
+        # x(1 − εg) negative (εg = 10), far below what drift and noise can
+        # lift, so only the second block degenerates; the first has none
         obj = Objective(
             name="two-blocks", dim=5, block_dims=(2, 3),
-            fn=lambda p: (0.0, np.zeros(5)),
+            fn=lambda p: (0.0, np.array([0.0, 0.0, 1e3, 1e3, 1e3])),
         )
         cfg = LmwuConfig(eps=0.01, beta=0.5, max_iters=5)
         with pytest.raises(StepFailureError) as info:
@@ -501,18 +503,42 @@ class TestMultiBlockRun:
 def chain_case(name):
     """(objective, init, cfg) of one batched-chain case."""
     if name == "portfolio":
-        # next to a vertex, where lmwu resamples and clamps at the 1e-6 floor
+        # the third asset loses half each period and εg is 0.99995 on it: its
+        # multiplier 1 − εg, 5e-5, leaves a numerator that the noise can make
+        # negative, so lmwu resamples, then drives it to the 1e-6 floor,
+        # where lmwu clamps; the other methods finish
         rng = np.random.default_rng(0)
-        returns = 0.01 * rng.standard_normal((60, 4)) + [0.02, 0.0, -0.01, 0.005]
+        returns = 1e-4 * rng.standard_normal((60, 4)) + [0.02, 0.0, -0.5, 0.005]
         obj = portfolio_objective(PortfolioLoss(returns, [0.5, 0.5]))
-        cfg = LmwuConfig(eps=1.0, beta=1e8, max_iters=40, floor=1e-6)
-        return obj, [0.9, 0.0998, 1e-4, 1e-4], cfg
+        cfg = LmwuConfig(eps=3.9996, beta=4e8, max_iters=40, floor=1e-6)
+        return obj, [0.5, 0.3, 0.1, 0.1], cfg
     init, beta = {
         "f1": ((0.3, 0.6, 0.1), 100.0),
         "f3": ((0.2, 0.75, 0.05), 5000.0),
         "f6": ((0.4, 0.1, 0.1, 0.2, 0.1, 0.1), 8000.0),
     }[name]
     return benchmark(name), init, LmwuConfig(eps=1e-3, beta=beta, max_iters=200)
+
+
+def nan_at(objective, points):
+    """``objective`` with a NaN gradient at each of ``points``: a chain that
+    steps onto one fails its next step, whatever its drift."""
+    stops = {tuple(p) for p in np.asarray(points, dtype=float).tolist()}
+
+    def fn(p):
+        value, grad = objective.value_and_grad(p)
+        return value, np.full(p.size, np.nan) if tuple(p.tolist()) in stops else grad
+
+    return Objective(name=f"{objective.name}-nan", dim=objective.dim,
+                     block_dims=objective.block_dims, fn=fn)
+
+
+def stop_points(objective, init, cfg, stops):
+    """Where each ``(seed, k)`` lmwu chain stands after k − 1 steps: at
+    ``nan_at`` these points, the chain of each seed fails at iteration k."""
+    return [run_optimizer("lmwu", objective, init,
+                          replace(cfg, seed=seed, max_iters=k - 1)).final_point
+            for seed, k in stops]
 
 
 def assert_chains_match_runs(method, obj, init, cfg, seeds):
@@ -568,9 +594,10 @@ class TestRunChains:
 
     def test_lowest_index_failure_of_a_later_slice_is_raised(self):
         # every chain of the first slice runs 600 steps; the last seed, 919,
-        # is the first to fail (iteration 494)
-        obj = benchmark("f1")
-        cfg = LmwuConfig(eps=1e-4, beta=10.0, max_iters=600)
+        # is the first to fail (iteration 494), at a NaN gradient on its path
+        cfg = LmwuConfig(eps=1e-4, beta=100.0, max_iters=600)
+        obj = nan_at(benchmark("f1"), stop_points(
+            benchmark("f1"), [0.3, 0.6, 0.1], cfg, [(919, 494)]))
         for k, seed in enumerate(self.SLICE_SEEDS):
             try:
                 run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], replace(cfg, seed=seed))
@@ -585,9 +612,12 @@ class TestRunChains:
 
     def test_lowest_index_failure_is_raised(self):
         # seeds 33 and 16 fail first (iterations 918 and 1118), but seed 2,
-        # at iteration 1191, is the first failing seed of the per-seed loop
-        obj = benchmark("f1")
-        cfg = LmwuConfig(eps=1e-4, beta=10.0, max_iters=1500)
+        # at iteration 1191, is the first failing seed of the per-seed loop;
+        # each fails at a NaN gradient on its own path
+        cfg = LmwuConfig(eps=1e-4, beta=100.0, max_iters=1500)
+        obj = nan_at(benchmark("f1"), stop_points(
+            benchmark("f1"), [0.3, 0.6, 0.1], cfg,
+            [(2, 1191), (16, 1118), (33, 918)]))
         errors = {}
         for seed in (2, 16, 33):
             with pytest.raises(StepFailureError) as info:
@@ -658,7 +688,7 @@ class TestRunChains:
          LmwuConfig(eps=1e5, beta=1.0, max_iters=3),
          "iterate left the simplex (block sum 1.0, min coord 0.0)"),
         ("lmwu", benchmark("f1"), [0.3, 0.6, 0.1],
-         LmwuConfig(eps=0.1, beta=1e-3, max_iters=10),
+         LmwuConfig(eps=1.0, beta=1e8, max_iters=10),
          "update denominator"),
     ], ids=["step-size", "off-simplex", "denominator"])
     def test_single_simplex_failure_names_only_its_iteration(

@@ -293,8 +293,11 @@ class TestRollingWindow:
                                     DEFAULT_FIT_CONFIG, window=3)
 
     def test_fit_failure_carries_period(self):
-        panel = wiggly_panel(6, 2, seed=1)
-        bad = LmwuConfig(eps=0.1, beta=1e-3, max_iters=5, seed=0)
+        # the assets lose half and 40% each period: the gradient −r̄ makes
+        # each base term x(1 − εg) negative at ε = 10, far below what the
+        # drift, ε/β = 1e-7, and the noise, sd 5e-4, can lift
+        panel = constant_panel(6, [-0.5, -0.4])
+        bad = LmwuConfig(eps=10.0, beta=1e8, max_iters=5, seed=0)
         with pytest.raises(StepFailureError) as info:
             rolling_window_evaluate(panel, MEAN_ONLY, "lmwu", bad, window=3)
         assert (info.value.period, info.value.iteration) == (4, 1)
@@ -357,8 +360,11 @@ class TestCompareMethods:
             assert (report.method, report.preset) == (method, preset)
 
     def test_failing_cell_is_recorded_not_fatal(self):
-        panel = wiggly_panel(8, 2, seed=3)
-        bad = LmwuConfig(eps=0.1, beta=1e-3, max_iters=5, seed=0)
+        # the update denominator 1 − ε·Σ x g is 0.4 here, give or take the
+        # drift, ε/β = 1.2e-7, and the noise, sd 5e-4: linear-mwu needs it
+        # positive, lmwu above its floor, 0.45
+        panel = constant_panel(8, [-0.05, -0.05])
+        bad = LmwuConfig(eps=12.0, beta=1e8, max_iters=5, floor=0.45, seed=0)
         reports, failures = compare_methods(
             panel, [MEAN_ONLY], ["linear-mwu", "lmwu"], bad, window=4,
         )
