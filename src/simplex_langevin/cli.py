@@ -5,7 +5,8 @@ Subcommands: ``optimize`` (single run → trajectory CSV), ``compare``
 ``sweep`` (one method over consecutive seeds → sweep CSV; ``lmwu`` seeds
 advance as one batch, other methods seed by seed), ``portfolio``
 (rolling-window evaluation grid → report CSV), and ``noise-check``
-(empirical moments of the update noise against their analytic values).
+(empirical moments of the transcribed update noise ``sample_noise``, which
+``lmwu`` does not draw, against their analytic values).
 
 Each subcommand declares only the flags it reads (``_COMMANDS``). ``main``
 merges a ``--config`` file (JSON object or ``key=value`` lines) into them

@@ -2,10 +2,11 @@
 
 The open probability simplex carries the Riemannian metric g_ii(x) = 1/x_i.
 This module provides the primitives every optimizer in the package is built
-from: metric gradients, the exponential/logarithmic maps, the Ito correction
-drift of the metric Brownian motion, multiplicative Gaussian noise draws, the
-normalizing retraction that keeps iterates on the simplex, and the exact
-Euclidean projection used by the projected-Langevin baseline.
+from: metric gradients, the exponential/logarithmic maps, the normalizing
+retraction that keeps iterates on the simplex, and the exact Euclidean
+projection used by the projected-Langevin baseline. The Ito correction drift
+of the metric Brownian motion and its noise draws are the paper's update
+noise as transcribed; ``lmwu`` takes the divergence drift ε/β instead.
 
 All functions operate on plain 1-D float64 numpy arrays; only
 ``christoffel_drift`` also takes (K, n) stacks of points, row by row. The
@@ -221,7 +222,7 @@ def sample_noise(
     floor: float = DEFAULT_FLOOR,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw the per-step noise V: christoffel drift plus √(2εβ⁻¹x_i)·z_i.
+    """Draw the transcribed noise V: christoffel drift plus √(2εβ⁻¹x_i)·z_i.
 
     ``z_i`` are IID standard normals from ``rng``. With ``size`` given,
     returns a (size, n) batch of draws sharing one drift evaluation (the

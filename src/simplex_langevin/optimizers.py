@@ -3,7 +3,7 @@
 Four update rules over (products of) probability simplices:
 
 * ``lmwu`` — multiplicative weights perturbed by metric Brownian noise with
-  its Ito correction drift, resampling draws that would leave the simplex;
+  the divergence drift ε/β, resampling draws that would leave the simplex;
 * ``linear-mwu`` — deterministic multiplicative weights, linear form;
 * ``exp-mwu`` — deterministic multiplicative weights, exponential form;
 * ``proj-langevin`` — Euclidean Langevin step followed by exact simplex
@@ -241,8 +241,9 @@ def lmwu_step(
 ) -> StepResult:
     """One noisy multiplicative-weights step on a single simplex.
 
-    Numerators x_i − ε x_i g_i + V_i are normalized by their sum (which
-    equals the 1 − ε Σ x_j g_j + Σ V_j denominator because x sums to one).
+    Numerators x_i − ε x_i g_i + ε/β + √(2εx_i/β)·z_i are normalized by
+    their sum; ε/β is the divergence term of Riemannian Langevin dynamics
+    in the Shahshahani metric, whose stationary law is exp(−βf).
     A draw is rejected and resampled when the sum is <= floor or any
     numerator is nonpositive; after 16 extra draws the last numerator
     vector is clamped-and-renormalized instead (flagged), or, if its sum is
@@ -370,15 +371,13 @@ def _float_step(method: Method, n: int, cfg: LmwuConfig, draws):
     the floor rule of its point to ``lmwu_step`` and the run loops.
     """
     eps, beta, floor = float(cfg.eps), float(cfg.beta), float(cfg.floor)
-    drift_c, noise_c = 0.5 * eps / beta, 2.0 * eps / beta
+    drift, noise_c = eps / beta, 2.0 * eps / beta
     sd = math.sqrt(noise_c)
 
     def lmwu(x, g):
-        s_x = _left_sum([1.0 / v for v in x])
-        terms = [(v - eps * (v * gv), drift_c * (n + 1.0 - (1.0 + v) * s_x),
-                  math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
+        terms = [(v - eps * (v * gv), math.sqrt(noise_c * v)) for v, gv in zip(x, g)]
         for attempt in range(_RESAMPLE_LIMIT + 1):
-            numer = [b + (d + r * z) for (b, d, r), z in zip(terms, next(draws))]
+            numer = [b + (drift + r * z) for (b, r), z in zip(terms, next(draws))]
             total = _left_sum(numer)
             if total > floor and min(numer) > 0.0:
                 break
@@ -592,8 +591,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
         # a draw z gives the numerator base + (drift + scale * z), the terms
         # of the float lmwu; each row is at or above the floor, as there
         base = x - eps * (x * grad)
-        s_x = _left_sum(1.0 / x)[:, None]
-        drift = (0.5 * eps / beta) * (x.shape[1] + 1.0 - (1.0 + x) * s_x)
+        drift = eps / beta
         scale = np.sqrt((2.0 * eps / beta) * x)
         numer = base + (drift + scale * take(np.arange(len(x))))
         total = _left_sum(numer)
@@ -603,7 +601,7 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
             rows = np.flatnonzero(~ok)
             if rows.size == 0:
                 break
-            redraw = base[rows] + (drift[rows] + scale[rows] * take(rows))
+            redraw = base[rows] + (drift + scale[rows] * take(rows))
             numer[rows] = redraw
             total[rows] = _left_sum(redraw)
             ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)

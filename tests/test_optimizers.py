@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from simplex_langevin.geometry import exp_map, normalize_retraction, sample_noise
+from simplex_langevin.geometry import exp_map
 from simplex_langevin import optimizers
+from simplex_langevin.cli import PAPER_PRESETS
 from simplex_langevin.objectives import Objective, PortfolioLoss, portfolio_objective
 from simplex_langevin.objectives import test_function as benchmark
 from simplex_langevin.optimizers import (
@@ -119,11 +120,11 @@ class TestLmwuStep:
         assert not res.clamped and not res.resampled
 
     def test_drift_only_numerators(self):
-        # eps=0.1, beta=1, n=2 barycenter: drift −0.15 per coordinate,
-        # numerators 0.35 summing to 0.7
+        # eps=0.1, beta=1, n=2 at (0.25, 0.75): drift +0.1 per coordinate,
+        # numerators 0.35 and 0.85 summing to 1.2
         cfg = LmwuConfig(eps=0.1, beta=1.0, max_iters=1)
-        res = lmwu_step(np.array([0.5, 0.5]), np.zeros(2), cfg, ZeroGauss())
-        assert res.point[0] == 0.35 / 0.7
+        res = lmwu_step(np.array([0.25, 0.75]), np.zeros(2), cfg, ZeroGauss())
+        assert res.point[0] == (0.25 + 0.1) / ((0.25 + 0.1) + (0.75 + 0.1))
 
     def test_collapses_to_linear_mwu_at_huge_beta(self):
         rng = np.random.default_rng(23)
@@ -137,11 +138,13 @@ class TestLmwuStep:
                             rtol=0, atol=1e-12)
             x = res.point
 
-    def test_step_failure_when_drift_dominates(self):
-        # eps/beta so large the drift sends every numerator far negative
-        cfg = LmwuConfig(eps=0.1, beta=1e-3, max_iters=1)
-        with pytest.raises(StepFailureError):
-            lmwu_step(np.array([0.5, 0.5]), np.zeros(2),
+    def test_step_failure_when_gradient_dominates(self):
+        # εg = 2 makes each base term x(1 − εg) = −x: the numerators sum to
+        # −1 + 2ε/β = −0.9998 with noise of sd 0.014, below the floor on
+        # every draw
+        cfg = LmwuConfig(eps=0.1, beta=1e3, max_iters=1)
+        with pytest.raises(StepFailureError, match="update denominator"):
+            lmwu_step(np.array([0.5, 0.5]), np.full(2, 20.0),
                       cfg, np.random.default_rng(0))
 
     def test_clamp_path_after_exhausted_resamples(self):
@@ -291,11 +294,23 @@ class TestRunOptimizer:
         assert np.abs(traj.points.sum(axis=1) - 1.0).max() < 1e-9
         assert traj.points.min() > 0.0
 
+    @pytest.mark.parametrize("fid", list(PAPER_PRESETS))
+    def test_lmwu_finishes_at_every_paper_preset(self, fid):
+        # the --init paper runs for 25,000 steps; the transcribed
+        # christoffel drift failed f2, f3, f5 and f6 here (at iterations
+        # 17,700, 9,077, 750 and 22,691)
+        preset = PAPER_PRESETS[fid]
+        cfg = LmwuConfig(eps=preset.stoch_eps, beta=preset.beta,
+                         max_iters=25_000, seed=1)
+        traj = run_optimizer("lmwu", benchmark(fid), preset.init, cfg)
+        assert traj.iters == 25_000
+
     def test_single_block_lmwu_matches_hand_loop(self):
-        # a one-block run draws from default_rng(seed) itself; this setting
-        # drives the iterate to a vertex, so resamples and clamps occur
+        # a one-block run draws from default_rng(seed) itself; εc = 1.35 on
+        # the third coordinate makes its base term negative, which drives it
+        # to the floor, so resamples and clamps occur
         obj = linear_objective([0.5, 0.2, 0.9])
-        cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
+        cfg = LmwuConfig(eps=1.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
         traj = run_optimizer("lmwu", obj, np.full(3, 1.0 / 3.0), cfg)
         rng = np.random.default_rng(cfg.seed)
         x = np.full(3, 1.0 / 3.0)
@@ -305,34 +320,22 @@ class TestRunOptimizer:
             assert (traj.clamped[k], traj.resampled[k]) == (clamped, resampled)
         assert traj.clamped.any() and traj.resampled.any()
 
-    def test_lmwu_step_draws_the_sample_noise_law(self):
-        # lmwu_step written out with sample_noise's draw, accept, resample
-        # and clamp included: the step and the noise law that noise-check
-        # and criterion 03 test stay one law, bit for bit
-        obj = linear_objective([0.5, 0.2, 0.9])
-        cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
-
-        def hand_step(x, grad, rng):
-            base = x - cfg.eps * (x * grad)
-            for attempt in range(optimizers._RESAMPLE_LIMIT + 1):
-                numer = base + sample_noise(x, cfg.eps, cfg.beta, rng,
-                                            floor=cfg.floor)
-                if numer.sum() > cfg.floor and numer.min() > 0.0:
-                    point, clamped = normalize_retraction(numer, floor=cfg.floor)
-                    return point, clamped, attempt > 0
-            point, _ = normalize_retraction(numer, floor=cfg.floor)
-            return point, True, True
-
-        x = y = np.full(3, 1.0 / 3.0)
-        step_rng, hand_rng = (np.random.default_rng(cfg.seed) for _ in range(2))
-        flags = []
-        for _ in range(cfg.max_iters):
-            x, clamped, resampled = lmwu_step(x, obj.gradient(x), cfg, step_rng)
-            y, *hand_flags = hand_step(y, obj.gradient(y), hand_rng)
-            assert np.array_equal(x, y)
-            assert [clamped, resampled] == hand_flags
-            flags.append((clamped, resampled))
-        assert any(c for c, _ in flags) and any(r for _, r in flags)
+    def test_lmwu_step_draws_the_divergence_drift_law(self):
+        # with the noise zeroed, a step at f ≡ 0 gives (x_i + ε/β)/(1 + nε/β),
+        # the numerators summed left to right as the step sums them: each
+        # coordinate's distance to the barycenter shrinks by 1 + nε/β
+        cfg = LmwuConfig(eps=0.1, beta=4.0, max_iters=1)
+        d = cfg.eps / cfg.beta
+        x = np.array([0.7, 0.2, 0.1])
+        for _ in range(20):
+            res = lmwu_step(x, np.zeros(3), cfg, ZeroGauss())
+            numer = [v + d for v in x.tolist()]
+            assert res.point.tolist() == [v / (0.0 + numer[0] + numer[1] + numer[2])
+                                          for v in numer]
+            assert_allclose(res.point - 1.0 / 3.0, (x - 1.0 / 3.0) / (1.0 + 3 * d),
+                            rtol=0, atol=1e-16)
+            assert not res.clamped and not res.resampled
+            x = res.point
 
     def test_step_failure_carries_iteration(self):
         # at ε = 1 the base terms x(1 − εg) at this point sum to −1.41, far

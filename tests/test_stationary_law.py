@@ -2,19 +2,22 @@
 
 A Langevin sampler at inverse temperature β targets exp(−βf) on the
 simplex: the uniform law at f ≡ 0, and Dirichlet(1 + a, …, 1 + a) for the
-log barrier f = −(a/β)·Σ ln x_i. The shipped ``lmwu`` does not get there:
-its pre-normalisation drift (``christoffel_drift``) pushes iterates away
-from the barycenter, with a strength that grows as 1/x_min, and at f ≡ 0,
-β = 1 every chain below raises ``StepFailureError`` before εk = 1. That
-test is kept as it stands until the drift is decided.
+log barrier f = −(a/β)·Σ ln x_i. ``lmwu`` adds the Riemannian-Langevin
+divergence term d_i = ε/β to each numerator, with the noise √(2εβ⁻¹x_i)·z_i
+and the accept/resample/clamp rule. After normalisation its mean step is
+(ε/β)(1 − n·x_i), the Wright–Fisher drift whose stationary law is
+Dirichlet(1, …, 1); the library's batch kernel reproduces the closed forms
+below.
 
-The reference is the same step, transcribed here over rows, with only the
-pre-normalisation drift replaced by the Riemannian-Langevin divergence term
-d_i = ε/β: same noise √(2εβ⁻¹x_i)·z_i, same accept/resample/clamp rule,
-same normalisation. After normalisation its mean step is (ε/β)(1 − n·x_i),
-the Wright–Fisher drift whose stationary law is Dirichlet(1, …, 1); it
-reproduces the closed forms below. Whether the paper's drift is the
-transcribed formula is open: PAPER.md holds only its abstract.
+``reference_step`` transcribes the step over rows with the
+pre-normalisation drift as a parameter. With ``divergence_drift`` it is the
+library's step bit for bit. With ``shipped_drift``, the transcribed
+``christoffel_drift`` that ``lmwu`` used to take, it does not get there:
+that drift pushes iterates away from the barycenter, with a strength that
+grows as 1/x_min, and at f ≡ 0, β = 1 every chain below raises
+``StepFailureError`` before εk = 1. Those tests are kept as the evidence.
+Whether the paper's drift is either formula is open: PAPER.md holds only
+its abstract.
 """
 from dataclasses import replace
 
@@ -27,16 +30,10 @@ from simplex_langevin import (
     StepFailureError,
     barycenter,
     christoffel_drift,
-    run_chains,
     run_optimizer,
 )
 from simplex_langevin import optimizers
 from simplex_langevin.geometry import normalize_retraction
-
-
-def zero_objective(n):
-    return Objective(name="zero", dim=n, block_dims=(n,),
-                     fn=lambda p: (0.0, np.zeros(n)))
 
 
 def shipped_drift(x, cfg):
@@ -72,18 +69,40 @@ def reference_step(x, grad, cfg, rng, drift):
     return points
 
 
-def reference_chains(n, grad_fn, chains, steps, seed, eps=1e-3, beta=1.0):
-    """Final points of ``chains`` reference chains from the barycenter."""
+def lmwu_chains(n, grad_fn, chains, steps, seed, eps=1e-3, beta=1.0):
+    """Final points of ``chains`` lmwu chains from the barycenter, stepped
+    together by the library's batch kernel on one generator."""
     cfg = LmwuConfig(eps=eps, beta=beta, max_iters=steps)
     rng = np.random.default_rng(seed)
+
+    def take(rows):
+        return rng.standard_normal((rows.size, n))
+
     x = np.tile(barycenter(n), (chains, 1))
     for _ in range(steps):
-        x = reference_step(x, grad_fn(x), cfg, rng, divergence_drift)
+        x, _, _, failure = optimizers._lmwu_rows(x, grad_fn(x), cfg, take)
+        if failure is not None:
+            raise failure[1]
     return x
 
 
+def shipped_failure(n, cfg):
+    """The iteration at which the one-row ``reference_step`` chain with the
+    shipped drift, at f ≡ 0 from the barycenter on ``default_rng(cfg.seed)``,
+    raises ``StepFailureError`` (the draws of ``run_optimizer`` under that
+    drift), or None."""
+    rng = np.random.default_rng(cfg.seed)
+    x = barycenter(n)[None, :]
+    for k in range(1, cfg.max_iters + 1):
+        try:
+            x = reference_step(x, np.zeros_like(x), cfg, rng, shipped_drift)
+        except StepFailureError:
+            return k
+    return None
+
+
 class TestShippedDrift:
-    """Kept: the shipped lmwu cannot sample the uniform law at f ≡ 0."""
+    """Kept: the shipped drift cannot sample the uniform law at f ≡ 0."""
 
     @pytest.mark.parametrize("eps, iterations", [
         (1e-3, [45, 58, 30, 171, 97]),
@@ -93,36 +112,33 @@ class TestShippedDrift:
         cfg = LmwuConfig(eps=eps, beta=1.0, max_iters=round(1.0 / eps))
         floors = (cfg.floor, 1e-6, 1e-3) if eps == 1e-3 else (cfg.floor,)
         for floor in floors:  # a larger floor does not help at ε = 1e-3
-            failed_at = []
-            for seed in range(5):
-                with pytest.raises(StepFailureError) as info:
-                    run_optimizer("lmwu", zero_objective(3), barycenter(3),
-                                  replace(cfg, seed=seed, floor=floor))
-                failed_at.append(info.value.iteration)
+            failed_at = [shipped_failure(3, replace(cfg, seed=seed, floor=floor))
+                         for seed in range(5)]
             assert failed_at == iterations
             assert max(failed_at) * eps < 1.0
 
     def test_fails_at_zero_objective_on_five_coordinates(self):
+        # the first of seeds 0–7 to fail, as run_chains would report it
         cfg = LmwuConfig(eps=1e-3, beta=1.0, max_iters=1000)
-        with pytest.raises(StepFailureError) as info:
-            run_chains("lmwu", zero_objective(5), barycenter(5), cfg, range(8))
-        assert info.value.iteration == 24
+        failed_at = [shipped_failure(5, replace(cfg, seed=seed)) for seed in range(8)]
+        assert next(k for k in failed_at if k is not None) == 24
 
 
-def test_reference_with_shipped_drift_is_the_shipped_step():
-    # the transcription differs from lmwu_step in the drift only: with the
-    # christoffel drift, one row from default_rng(seed) retraces
-    # run_optimizer bit for bit, through resamples and clamps
+def test_reference_with_divergence_drift_is_the_shipped_step():
+    # the transcription with the divergence drift: one row from
+    # default_rng(seed) retraces run_optimizer bit for bit, through
+    # resamples and clamps (εc = 1.35 on the third coordinate makes its
+    # base term negative, so the iterate sits at the floor)
     c = np.array([0.5, 0.2, 0.9])
     obj = Objective(name="linear", dim=3, block_dims=(3,),
                     fn=lambda p: (float(p @ c), c.copy()))
-    cfg = LmwuConfig(eps=0.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
+    cfg = LmwuConfig(eps=1.5, beta=1e8, max_iters=300, seed=5, floor=1e-6)
     traj = run_optimizer("lmwu", obj, barycenter(3), cfg)
     assert traj.clamped.any() and traj.resampled.any()
     rng = np.random.default_rng(cfg.seed)
     x = barycenter(3)[None, :]
     for k in range(1, cfg.max_iters + 1):
-        x = reference_step(x, c[None, :], cfg, rng, shipped_drift)
+        x = reference_step(x, c[None, :], cfg, rng, divergence_drift)
         assert np.array_equal(x[0], traj.points[k])
 
 
@@ -135,7 +151,7 @@ CHAINS, STEPS, SEED = 4000, 2000, 0
 
 
 def test_reference_samples_uniform_law_on_three_coordinates():
-    x = reference_chains(3, np.zeros_like, CHAINS, STEPS, SEED)
+    x = lmwu_chains(3, np.zeros_like, CHAINS, STEPS, SEED)
     # Var x_1 = 1/18, SE 0.00104, bias −0.0007; E[min x] = 1/9, SE 0.00124,
     # bias +0.0013
     assert abs(x[:, 0].var() - 1.0 / 18.0) < 0.005
@@ -145,11 +161,11 @@ def test_reference_samples_uniform_law_on_three_coordinates():
 def test_reference_samples_dirichlet_law_of_log_barrier():
     # f = −(2/β)·Σ ln x_i, so the target is Dirichlet(3, 3, 3):
     # Var x_1 = 1/45, SE 0.00046, bias below 0.0001
-    x = reference_chains(3, lambda p: -2.0 / p, CHAINS, STEPS, SEED)
+    x = lmwu_chains(3, lambda p: -2.0 / p, CHAINS, STEPS, SEED)
     assert abs(x[:, 0].var() - 1.0 / 45.0) < 0.002
 
 
 def test_reference_samples_uniform_law_on_five_coordinates():
     # Var x_1 = 2/75, SE 0.00069, bias −0.0004
-    x = reference_chains(5, np.zeros_like, CHAINS, STEPS, SEED)
+    x = lmwu_chains(5, np.zeros_like, CHAINS, STEPS, SEED)
     assert abs(x[:, 0].var() - 2.0 / 75.0) < 0.0035

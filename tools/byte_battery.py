@@ -108,8 +108,8 @@ def invocations() -> list[tuple[str, list[str]]]:
     # moments that overflow: a FAIL verdict with bounded z-scores
     runs.append(("noise-check-eps1e300", [
         "noise-check", "--samples", "10000", "--eps", "1e300"]))
-    # steps that resample and clamp on most rows (the clamp path of lmwu and
-    # the floor lift of proj-langevin)
+    # steps that clamp on most rows (the clamp path of lmwu and the floor
+    # lift of proj-langevin)
     clamp = ["--init", "uniform", "--eps", "0.5", "--beta", "1e8",
              "--floor", "1e-6", "--iters", "300", "--seed", "3"]
     for fid, method in (("f3", "lmwu"), ("f5", "lmwu"), ("f3", "proj-langevin")):
@@ -121,7 +121,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"clamp-sweep-{fid}-{method}", [
             "sweep", "--objective", fid, "--method", method, "--samples", "8",
             *clamp]))
-    # known failures and a usage error: their messages and exit codes count
+    # known failures and a usage error: their messages and exit codes count.
+    # The three runs below and the mid-grid portfolio further down failed
+    # under the transcribed christoffel drift; with the divergence drift
+    # ε/β they finish, and keep their labels so that manifests compare
     runs.append(("fail-optimize-f1-lmwu-beta10", [
         "optimize", "--objective", "f1", "--init", "paper", "--method", "lmwu",
         "--beta", "10", "--iters", "1500", "--seed", "1"]))
@@ -130,6 +133,15 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("fail-sweep-f1-beta10", [
         "sweep", "--objective", "f1", "--init", "paper", "--method", "lmwu",
         "--beta", "10.0", "--samples", "64", "--iters", "1500", "--seed", "0"]))
+    # lmwu steps too large for f1, whatever the drift: a denominator below
+    # the floor at iteration 1, and the first failing seed of a sweep
+    runs.append(("fail-optimize-f1-lmwu-eps1", [
+        "optimize", "--objective", "f1", "--init", "paper", "--method", "lmwu",
+        "--eps", "1", "--beta", "1e8", "--iters", "10"]))
+    runs.append(("fail-sweep-f1-lmwu-eps0.08", [
+        "sweep", "--objective", "f1", "--init", "paper", "--method", "lmwu",
+        "--eps", "0.08", "--beta", "10", "--samples", "64", "--iters", "1500",
+        "--seed", "0"]))
     # steps too large for the deterministic methods
     for method, eps in (("linear-mwu", "5"), ("exp-mwu", "1e5")):
         runs.append((f"fail-optimize-f1-{method}-eps{eps}", [
@@ -151,9 +163,9 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("fail-portfolio-linear-mwu-eps1000", [
         "portfolio", "--returns", PANEL, "--preset", "mv",
         "--method", "linear-mwu", "--eps", "1000", *PANEL_WINDOW]))
-    # lmwu fails mid-grid (mv at iteration 204 of period 251, increasing at
-    # iteration 599 of period 252) while the other methods of each preset
-    # finish in the same lockstep batches
+    # under the transcribed drift lmwu failed mid-grid here (mv at iteration
+    # 204 of period 251, increasing at iteration 599 of period 252) while the
+    # other methods of each preset finished in the same lockstep batches
     runs.append(("fail-portfolio-lmwu-midgrid-eps3", [
         "portfolio", "--returns", PANEL, "--preset", "increasing,mv",
         "--eps", "3", *PANEL_WINDOW, "--per-period", "--seed", "0"]))
