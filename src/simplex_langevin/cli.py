@@ -3,10 +3,8 @@
 Subcommands: ``optimize`` (single run → trajectory CSV), ``compare``
 (several methods from one init → per-method trajectories + summary CSV),
 ``sweep`` (one method over consecutive seeds → sweep CSV; ``lmwu`` seeds
-advance as one batch, other methods seed by seed), ``portfolio``
-(rolling-window evaluation grid → report CSV), and ``noise-check``
-(empirical moments of the transcribed update noise ``sample_noise``, which
-``lmwu`` does not draw, against their analytic values).
+advance as one batch, other methods seed by seed), and ``portfolio``
+(rolling-window evaluation grid → report CSV).
 
 Each subcommand declares only the flags it reads (``_COMMANDS``). ``main``
 merges a ``--config`` file (JSON object or ``key=value`` lines) into them
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import statistics
 import sys
@@ -31,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import _simplex_point, barycenter, christoffel_drift, sample_noise
+from .geometry import barycenter
 from .objectives import (
     Objective,
     PortfolioLoss,
@@ -189,7 +186,7 @@ def _resolve_cfg(args, defaults: LmwuConfig) -> LmwuConfig:
     flags = {
         field: getattr(args, flag)
         for flag, field in _CFG_FIELDS.items()
-        if getattr(args, flag, None) is not None
+        if getattr(args, flag) is not None
     }
     return replace(defaults, seed=seed, **flags)
 
@@ -223,8 +220,7 @@ def _parse_method_list(text: str | None, default: tuple[Method, ...]):
 
 
 def _parse_init(
-    text: str | None, objective: Objective | None,
-    preset: ExperimentPreset | None,
+    text: str | None, objective: Objective, preset: ExperimentPreset | None,
 ) -> np.ndarray:
     if text is None or text == "uniform":
         return np.concatenate([barycenter(d) for d in objective.block_dims])
@@ -242,7 +238,7 @@ def _parse_init(
             f"bad --init {text!r}: expected 'uniform', 'paper', or "
             "comma-separated coordinates"
         ) from None
-    if objective is not None and len(values) != objective.dim:
+    if len(values) != objective.dim:
         raise ValueError(
             f"--init has {len(values)} coordinates, objective "
             f"{objective.name!r} has {objective.dim}"
@@ -430,67 +426,6 @@ def cmd_portfolio(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
-def _fmt_z(z: float, sign: str = "+") -> str:
-    """A z-score in fixed point, or in exponent form from 1e6 up."""
-    return f"{z:{sign}.2{'f' if abs(z) < 1e6 else 'e'}}"
-
-
-def cmd_noise_check(args) -> int:
-    # draws at one point: of the run config it reads eps, beta, floor, seed
-    cfg = _resolve_cfg(args, LmwuConfig(eps=0.1, beta=1.0, max_iters=0))
-    if args.objective is not None:
-        objective = test_function(args.objective)
-        point = _parse_init(args.init, objective, PAPER_PRESETS[objective.name])
-    elif args.init in ("uniform", "paper"):
-        raise ValueError(f"--init {args.init} needs --objective")
-    elif args.init is not None:
-        point = _parse_init(args.init, None, None)
-    else:
-        point = barycenter(2)
-    point = _simplex_point(point, cfg.floor)
-    n_samples = 100_000 if args.samples is None else args.samples
-    if n_samples < 10_000:
-        raise ValueError("--samples must be >= 10000 for a meaningful check")
-    eps, beta = cfg.eps, cfg.beta
-
-    # overflowing parameters give inf or nan moments and z, which FAIL
-    with np.errstate(all="ignore"):
-        drift = christoffel_drift(point, eps, beta, floor=cfg.floor)
-        rng = np.random.default_rng(cfg.seed)
-        values = sample_noise(point, eps, beta, rng, floor=cfg.floor,
-                              size=n_samples)
-        var_expected = 2.0 * eps / beta * point
-        mean = values.mean(axis=0)
-        var = values.var(axis=0, ddof=1)
-        mean_se = np.sqrt(var_expected / n_samples)
-        var_se = var_expected * math.sqrt(2.0 / (n_samples - 1))
-        mean_z = (mean - drift) / mean_se
-        var_z = (var - var_expected) / var_se
-
-    rows = []
-    for i in range(point.size):
-        rows.append([
-            i + 1, drift[i], mean[i], mean_z[i], var_expected[i], var[i], var_z[i],
-        ])
-        print(
-            f"x_{i + 1}: mean {_fmt(mean[i])} (drift {_fmt(drift[i])}, "
-            f"z = {_fmt_z(mean_z[i])}), var {_fmt(var[i])} "
-            f"(expected {_fmt(var_expected[i])}, z = {_fmt_z(var_z[i])})"
-        )
-    if args.out is not None:
-        out = _out_dir(args)
-        _write_csv(
-            os.path.join(out, "noise_check.csv"),
-            ["coord", "drift", "mean", "mean_z", "var_expected", "var", "var_z"],
-            rows,
-        )
-    worst = max(float(np.abs(mean_z).max()), float(np.abs(var_z).max()))
-    passed = worst < 4.0
-    print(f"{'PASS' if passed else 'FAIL'}: max |z| = {_fmt_z(worst, '')} "
-          "(threshold 4)")
-    return EXIT_OK if passed else EXIT_RUNTIME
-
-
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
@@ -510,7 +445,7 @@ _FLAGS: dict[str, dict] = {
     "floor": dict(type=float, help="positivity floor"),
     "window": dict(type=int, help="rolling fit window length"),
     "variant": dict(help=f"out-of-sample loss variant {VARIANTS} (default literal)"),
-    "samples": dict(type=int, help="draw count / sweep width"),
+    "samples": dict(type=int, help="sweep width"),
     "out": dict(help="output directory (default: .)"),
     "per-period": dict(action="store_true", help="also write per_period_*.csv"),
     "no-warm-start": dict(action="store_true", help="fit every window from uniform"),
@@ -535,11 +470,6 @@ _COMMANDS = {
         "rolling-window out-of-sample evaluation, writes portfolio_report.csv",
         ("returns", "preset", "method", "eps", "beta", "iters", "seed", "floor",
          "window", "variant", "out", "per-period", "no-warm-start"),
-    ),
-    "noise-check": (
-        cmd_noise_check,
-        "compare empirical noise moments at a point with analytic values",
-        ("objective", "init", "eps", "beta", "seed", "floor", "samples", "out"),
     ),
 }
 

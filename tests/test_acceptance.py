@@ -485,8 +485,6 @@ def test_criterion_10_determinism(tmp_path):
                       "--window", "50", "--method", "lmwu,linear-mwu",
                       "--preset", "mv,equal", "--iters", "80", "--seed", "5",
                       "--per-period"],
-        "noise-check": ["noise-check", "--init", "0.7,0.2,0.1",
-                        "--samples", "20000", "--seed", "4"],
     }
     total_files = 0
     total_masked = 0

@@ -66,8 +66,6 @@ CONFIG_RUNS = {
                   "method": "linear-mwu,lmwu", "window": 3,
                   "variant": "window-moments", "eps": 0.5, "beta": 1e8,
                   "iters": 30, "floor": 1e-6, "seed": 4},
-    "noise-check": {"init": "0.7,0.2,0.1", "eps": 0.05, "beta": 2.0,
-                    "samples": 20000, "seed": 4, "floor": 1e-9},
 }
 
 
@@ -165,31 +163,30 @@ class TestExitCodes:
             ["optimize", "--objective", "f1", "--method", "warp"],
             ["optimize", "--objective", "f1", "--init", "0.5,0.5"],
             ["optimize", "--objective", "f1", "--iters", "-2"],
-            ["noise-check", "--samples", "100"],
-            ["noise-check", "--init", "uniform"],
-            ["noise-check", "--init", "0.5,0.6"],  # does not sum to 1
+            # does not sum to 1
+            ["optimize", "--objective", "f1", "--init", "0.5,0.6,0.1"],
             ["portfolio"],  # missing --returns
             ["sweep", "--objective", "f1", "--samples", "0"],
-            ["noise-check", "--init", "0.5,0.5,0"],  # a coordinate at 0
-            ["noise-check", "--init", "0.6,0.5,-0.1"],  # a negative one
-            ["noise-check", "--objective", "f9"],
+            # a coordinate at 0, and a negative one
+            ["optimize", "--objective", "f1", "--init", "0.5,0.5,0"],
+            ["optimize", "--objective", "f1", "--init", "0.6,0.5,-0.1"],
+            ["sweep", "--objective", "f9"],
             ["portfolio", "--returns", RETURNS, "--preset", "bogus"],
             ["optimize", "--returns", RETURNS, "--preset", "mv,mvsk"],
             # a flag the subcommand does not read
             ["optimize", "--objective", "f1", "--iters", "3", "--window", "5"],
             ["portfolio", "--returns", RETURNS, "--window", "3", "--iters", "5",
              "--objective", "f1"],
-            ["noise-check", "--samples", "20000", "--iters", "5"],
-            # noise-check run settings go through the LmwuConfig checks
-            ["noise-check", "--eps", "nan"],
-            ["noise-check", "--beta", "inf"],
-            ["noise-check", "--samples", "20000", "--floor", "-1"],
+            ["optimize", "--objective", "f1", "--iters", "3", "--samples", "4"],
+            # run settings go through the LmwuConfig checks
+            ["optimize", "--objective", "f1", "--eps", "nan"],
+            ["optimize", "--objective", "f1", "--beta", "inf"],
+            ["optimize", "--objective", "f1", "--floor", "-1"],
             # --preset selects the risk weights of a --returns objective
             ["optimize", "--objective", "f1", "--preset", "bogus", "--iters", "3"],
             ["sweep", "--objective", "f1", "--preset", "mv"],
             # explicit coordinates must match the objective's dimension
-            ["noise-check", "--objective", "f5", "--init", "0.5,0.5",
-             "--samples", "20000"],
+            ["sweep", "--objective", "f5", "--init", "0.5,0.5"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, returns_file, tmp_path, capsys):
@@ -205,7 +202,8 @@ class TestExitCodes:
              "bad --init '0.3,x,0.1'"),
             (["compare", "--objective", "f1", "--method", ","],
              "empty method list"),
-            (["noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"],
+            (["optimize", "--objective", "f1", "--init", "0.5,0.4995,0.0005",
+              "--floor", "1e-3"],
              "init coordinates must be finite and >= floor 1.000e-03"),
             # a repeated name would fit and write the same cells again
             (["compare", "--objective", "f1", "--method", "lmwu,lmwu"],
@@ -218,6 +216,7 @@ class TestExitCodes:
              "seed must be a non-negative integer"),
             (["sweep", "--objective", "f1", "--seed", "-1"],
              "seed must be a non-negative integer"),
+            (["noise-check"], "invalid choice: 'noise-check'"),
         ],
     )
     def test_usage_error_messages(self, argv, message, returns_file, tmp_path,
@@ -712,33 +711,6 @@ class TestPortfolio:
         assert "failed" in capsys.readouterr().err
 
 
-class TestNoiseCheck:
-    def test_default_barycenter_passes(self, capsys):
-        code = main(["noise-check", "--samples", "20000", "--seed", "0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "x_1" in out and "x_2" in out
-
-    def test_explicit_point_and_csv(self, tmp_path, capsys):
-        code = main([
-            "noise-check", "--init", "0.7,0.2,0.1", "--samples", "20000",
-            "--seed", "1", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        header, rows = read_csv(tmp_path / "noise_check.csv")
-        assert header == ["coord", "drift", "mean", "mean_z",
-                          "var_expected", "var", "var_z"]
-        assert len(rows) == 3
-
-    def test_objective_point(self, capsys):
-        code = main([
-            "noise-check", "--objective", "f1", "--init", "paper",
-            "--samples", "20000",
-        ])
-        assert code == 0
-
-
 def test_module_entry_point(tmp_path):
     # the child imports the same package as this test, installed or not
     package_root = os.path.dirname(os.path.dirname(simplex_langevin.__file__))
@@ -765,22 +737,20 @@ EDGE_RUNS = tuple(
 ) + (
     ["sweep", "--objective", "f1", "--method", "lmwu", "--samples", "4",
      "--iters", "3"],
-    ["noise-check", "--samples", "10000"],
 )
 EDGE_CASES = 400
 
 
 def edge_flag_cases(count: int = EDGE_CASES, seed: int = 22):
-    """The two overflow cases that once warned, then a seeded draw from the
-    edge grid (1,944 argvs) without repeats."""
+    """The overflow case that once warned, then a seeded draw from the edge
+    grid (1,620 argvs) without repeats."""
     grid = list(itertools.product(EDGE_RUNS, EDGE_VALUES, EDGE_VALUES,
                                   EDGE_FLOORS))
     cases = [
         ["sweep", "--objective", "f1", "--method", "lmwu", "--eps", "1e308",
          "--samples", "4", "--iters", "3"],
-        ["noise-check", "--samples", "10000", "--eps", "1e300"],
     ]
-    for i in sorted(np.random.default_rng(seed).choice(len(grid), count - 2,
+    for i in sorted(np.random.default_rng(seed).choice(len(grid), count - 1,
                                                        replace=False)):
         run, eps, beta, floor = grid[i]
         cases.append([*run, "--eps", eps, "--beta", beta]
@@ -810,10 +780,9 @@ def test_edge_flag_values_end_as_the_cli_says(tmp_path, monkeypatch, capsys):
     assert broken == []
 
 
-# the argv and --config generator: per flag, or per (subcommand, flag),
-# (values that a run takes, edge values); small run lengths only, since a
-# huge --iters or --samples runs, or holds a list of its seeds, before it
-# fails
+# the argv and --config generator: per flag, (values that a run takes, edge
+# values); small run lengths only, since a huge --iters or --samples runs, or
+# holds a list of its seeds, before it fails
 NUMBER_EDGES = ("0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
                 "5e-324", "1e400", "", "é", "１")
 ARGV_VALUES = {
@@ -832,7 +801,6 @@ ARGV_VALUES = {
     "seed": (("0", "7", "18446744073709551616"), ("-0", "-1", "1e3", "", "é")),
     "window": (("2", "3"), ("0", "-1", "1000", "", "é")),
     "samples": (("1", "4"), ("0", "-1", "nan", "", "é")),
-    ("noise-check", "samples"): (("10000",), ("9999", "0", "nan", "", "é")),
     "returns": (("plain.csv", "bom.csv", "crlf.csv", "quoted.csv",
                  "constant.csv"), ("latin1.csv", "single.csv", "missing.csv")),
 }
@@ -896,8 +864,7 @@ def argv_cases(directory, count: int = ARGV_CASES, seed: int = 23):
         edged = set(rng.choice(chosen, size=min(len(chosen),
                                                  int(draw((0, 0, 1, 1, 2)))),
                                replace=False).tolist())
-        sets = {f: ARGV_VALUES.get((command, f), ARGV_VALUES.get(f))
-                for f in chosen}
+        sets = {f: ARGV_VALUES[f] for f in chosen}
         values = {f: draw(sets[f][f in edged]) for f in chosen}
         if "returns" in values:
             values["returns"] = str(directory / values["returns"])

@@ -100,14 +100,6 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"sweep-returns-equal-{method}", [
             "sweep", "--returns", PANEL, "--preset", "equal", "--method", method,
             "--samples", "8"]))
-    runs.append(("noise-check-f1", [
-        "noise-check", "--objective", "f1", "--init", "paper", "--out", "."]))
-    runs.append(("noise-check-f5", [
-        "noise-check", "--objective", "f5", "--init", "paper",
-        "--samples", "20000", "--seed", "4", "--out", "."]))
-    # moments that overflow: a FAIL verdict with bounded z-scores
-    runs.append(("noise-check-eps1e300", [
-        "noise-check", "--samples", "10000", "--eps", "1e300"]))
     # steps that clamp on most rows (the clamp path of lmwu and the floor
     # lift of proj-langevin)
     clamp = ["--init", "uniform", "--eps", "0.5", "--beta", "1e8",
@@ -180,8 +172,9 @@ def invocations() -> list[tuple[str, list[str]]]:
         "optimize", "--returns", PANEL, "--preset", "mv", "--floor", "0.2"]))
     runs.append(("usage-sweep-f1-floor0.5", [
         "sweep", "--objective", "f1", "--floor", "0.5"]))
-    runs.append(("usage-noise-check-below-floor", [
-        "noise-check", "--init", "0.5,0.4995,0.0005", "--floor", "1e-3"]))
+    runs.append(("usage-optimize-f1-below-floor", [
+        "optimize", "--objective", "f1", "--init", "0.5,0.4995,0.0005",
+        "--floor", "1e-3"]))
     runs.append(("usage-optimize-init-off-sum", [
         "optimize", "--objective", "f1", "--init", "0.3,0.3,0.3"]))
     runs.append(("usage-unknown-method", [
