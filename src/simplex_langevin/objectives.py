@@ -13,6 +13,7 @@ minimizer is (0, 0, 0, 94/275, 116/275, 13/55).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -333,34 +334,55 @@ class PortfolioLoss:
     moment, the loss is Σ_k (−1)^k λ_k m_k — mean is rewarded, variance
     penalized, skewness rewarded, and so on with alternating signs. The
     centred panel R − r̄ (r̄ the column means), the coefficients
-    (−1)^k λ_k, the mean term's gradient −λ_1·r̄ and the highest order with
-    λ_k ≠ 0 are computed once, here.
+    (−1)^k λ_k, the mean term's gradient −λ_1·r̄, the highest order with
+    λ_k ≠ 0 and the gradient's series terms are computed once, here.
     """
 
     returns: np.ndarray
     lambdas: np.ndarray
+    _rbar: np.ndarray = field(init=False, repr=False, compare=False)
     _mean_grad: np.ndarray = field(init=False, repr=False, compare=False)
     _centred: np.ndarray = field(init=False, repr=False, compare=False)
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _top: int = field(init=False, repr=False, compare=False)
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "returns", np.asarray(self.returns, dtype=float))
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
-        r, lam = self.returns, self.lambdas
+        r = self.returns
         if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
             raise ValueError("returns must be a T×n matrix with T >= 2")
         if not np.isfinite(r).all():
             raise ValueError("returns must be finite")
+        object.__setattr__(self, "_rbar", r.mean(axis=0))
+        object.__setattr__(self, "_centred", r - self._rbar)
+        self._weigh()
+
+    def _weigh(self) -> None:
+        """Check ``lambdas`` and set the fields that depend on them."""
+        lam = self.lambdas
         _check_lambdas(lam)
-        rbar = r.mean(axis=0)
-        object.__setattr__(self, "_centred", r - rbar)
         signs = np.array([(-1.0) ** k for k in range(1, lam.size + 1)])
-        object.__setattr__(self, "_coef", signs * lam)
-        object.__setattr__(self, "_mean_grad", self._coef[0] * rbar)
-        object.__setattr__(self, "_top", max(
-            k for k in range(1, lam.size + 1) if lam[k - 1] != 0.0
-        ))
+        coef = signs * lam
+        top = max(k for k in range(1, lam.size + 1) if lam[k - 1] != 0.0)
+        c, t_count = coef.tolist(), self.returns.shape[0]
+        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "_mean_grad", coef[0] * self._rbar)
+        object.__setattr__(self, "_top", top)
+        # the gradient series' terms (see _gradients), one per order k >= 2
+        # with λ_k ≠ 0, on every row
+        object.__setattr__(self, "_terms", tuple(
+            (k - 2, None, c[k - 1] * k / t_count, None)
+            for k in range(2, top + 1) if c[k - 1] != 0.0))
+
+    def _reweighted(self, lambdas) -> PortfolioLoss:
+        """The loss of this panel under ``lambdas``; it shares the panel,
+        its column means and the centred panel with this loss."""
+        loss = copy.copy(self)
+        object.__setattr__(loss, "lambdas", np.asarray(lambdas, dtype=float))
+        loss._weigh()
+        return loss
 
     @property
     def n_assets(self) -> int:
@@ -371,26 +393,38 @@ class PortfolioLoss:
         return self.lambdas.size
 
 
+def _powers(returns: np.ndarray, w: np.ndarray, counts) -> tuple:
+    """The mean m_1 of the portfolio series p = returns @ w, as a float at a
+    weight vector or a (K, 1) column at a (K, n) stack, and the powers
+    [c, c·c, ...] of the centred series c = p − m_1, each one multiplication
+    from the last. Power j is built on the first ``counts[j − 1]`` rows of a
+    stack (all of them for None), and p on the rows of c. A stack's rows keep
+    their bits alone: p is one gemv per row, a matmul over (n, 1) columns (a
+    (T, n) @ (n, K) gemm rounds differently), reduced by row."""
+    t_count = returns.shape[0]
+    if w.ndim == 1:
+        p = returns.dot(w)
+        mu = float(np.add.reduce(p)) / t_count
+    else:
+        p = (returns @ w[:counts[0], :, None])[:, :, 0]
+        mu = np.add.reduce(p, axis=-1, keepdims=True) / t_count
+    powers = [p - mu]
+    for rows in counts[1:]:
+        powers.append(powers[-1][:rows] * powers[0][:rows])
+    return mu, powers
+
+
 def _moments(loss: PortfolioLoss, w: np.ndarray, top: int) -> tuple[list, list]:
     """Moments [m_1, ..., m_top] at ``w`` as floats, or (K, 1) columns at a
-    (K, n) stack, and the powers [c, c·c, ...] of the centred series
-    c = p − m_1 up to c^top, each one multiplication from the last. A stack's
-    rows keep their bits alone: p is one gemv per row, a matmul over (n, 1)
-    columns (a (T, n) @ (n, K) gemm rounds differently), reduced by row."""
+    (K, n) stack, and the powers [c, ..., c^top] of :func:`_powers`."""
+    mu, powers = _powers(loss.returns, w, [None] * top)
     t_count = loss.returns.shape[0]
-    stack = w.ndim == 2
-    p = (loss.returns @ w[:, :, None])[:, :, 0] if stack else loss.returns.dot(w)
-
-    def mean(a):
-        if stack:
-            return np.add.reduce(a, axis=-1, keepdims=True) / t_count
-        return float(np.add.reduce(a)) / t_count
-
-    mu = mean(p)
-    powers = [p - mu]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * powers[0])
-    return [mu] + [mean(c_k) for c_k in powers[1:]], powers
+    if w.ndim == 2:
+        means = [np.add.reduce(c_k, axis=-1, keepdims=True) / t_count
+                 for c_k in powers[1:]]
+    else:
+        means = [float(np.add.reduce(c_k)) / t_count for c_k in powers[1:]]
+    return [mu] + means, powers
 
 
 def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
@@ -399,37 +433,96 @@ def portfolio_moments(loss: PortfolioLoss, w) -> np.ndarray:
     if w.size != loss.n_assets:
         raise ValueError(f"portfolio_moments expects a vector of length "
                          f"{loss.n_assets}, got {w.shape}")
-    return np.array(_moments(loss, w, loss.order)[0])
+    # an overflowing panel gives inf or nan moments, and no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array(_moments(loss, w, loss.order)[0])
+
+
+def _gradients(centred: np.ndarray, mean_grad: np.ndarray, terms,
+               powers: list) -> np.ndarray:
+    """Euclidean gradients of the moment loss at a weight vector or at the
+    rows of a stack, from the powers of :func:`_powers` there.
+
+    ∂m_1/∂w is the column mean r̄, so the mean term gives ``mean_grad``
+    −λ_1·r̄ (a row per point of a stack); for k >= 2,
+    ∂m_k/∂w = (k/T)·Σ_t c_t^{k−1} (r_t − r̄). The series
+    Σ_k (−1)^k λ_k (k/T)·c^{k−1} adds the ``(j, rows, scale, zero)`` terms
+    left to right, scale·c^{j+1} on the first ``rows`` rows (all for None),
+    with a float scale or a column of one per row; the ``zero`` rows, whose
+    λ_k is 0, add −0.0, which leaves every sum as it is, bit for bit. Then
+    one product with the centred panel, a mat-vec per row of the series.
+    """
+    series = None
+    for j, rows, scale, zero in terms:
+        term = scale * powers[j]
+        if zero is not None:
+            term[zero] = -0.0
+        if series is None:
+            series = term
+        else:
+            series[:rows] += term
+    if series is None:
+        return np.array(mean_grad)
+    if series.ndim == 1:
+        return mean_grad + series.dot(centred)
+    grad = np.array(mean_grad)
+    grad[:len(series)] += (series[:, None, :] @ centred)[:, 0, :]
+    return grad
 
 
 def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple:
-    """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``: a
-    float and a gradient list at one weight vector, (K,) values and (K, n)
-    gradients at a (K, n) stack (see :func:`_moments`).
-
-    ∂m_1/∂w is the column mean r̄ of the panel; for k >= 2,
-    ∂m_k/∂w = (k/T)·Σ_t c_t^{k−1} (r_t − r̄) with c = p − μ. The gradient
-    sums the series Σ_k (−1)^k λ_k (k/T)·c^{k−1} over the orders with
-    λ_k ≠ 0 and takes one product of it with the centred panel, a mat-vec
-    per row. No power above the highest order with λ_k ≠ 0 is built.
-    """
+    """Loss Σ_k (−1)^k λ_k m_k(w) and its Euclidean gradient in ``w``
+    (:func:`_gradients`): a float and a gradient list at one weight vector,
+    (K,) values and (K, n) gradients at a (K, n) stack. No power above the
+    highest order with λ_k ≠ 0 is built. An overflowing panel gives inf or
+    nan, and no warning: the step that reads it raises its own error."""
     w = np.asarray(w, dtype=float)
-    m, powers = _moments(loss, w, loss._top)
-    coef = loss._coef.tolist()
-    value = 0.0
-    for coef_k, m_k in zip(coef, m):
-        value += coef_k * m_k
-    grad = loss._mean_grad
-    if loss._top > 1:
-        t_count = loss.returns.shape[0]
-        terms = [(coef[k - 1] * k / t_count) * powers[k - 2]
-                 for k in range(2, loss._top + 1) if coef[k - 1] != 0.0]
-        series = sum(terms[1:], terms[0])
-        grad = grad + (series.dot(loss._centred) if w.ndim == 1 else
-                       (series[:, None, :] @ loss._centred)[:, 0, :])
-    if w.ndim == 1:
-        return value, grad.tolist()
-    return value[:, 0], grad if loss._top > 1 else np.tile(grad, (len(w), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, powers = _moments(loss, w, loss._top)
+        value = 0.0
+        for coef_k, m_k in zip(loss._coef.tolist(), m):
+            value += coef_k * m_k
+        if w.ndim == 1:
+            return value, _gradients(loss._centred, loss._mean_grad,
+                                     loss._terms, powers).tolist()
+        mean_grad = np.broadcast_to(loss._mean_grad, w.shape)
+        return value[:, 0], _gradients(loss._centred, mean_grad, loss._terms,
+                                       powers)
+
+
+class _RowGradients:
+    """The moment-loss gradients at a (K, n) stack of weights, row r under
+    the λ weights of ``losses[rows[r]]``: the portfolio grid's one call per
+    step. The losses share one panel (:meth:`PortfolioLoss._reweighted`) and
+    the rows come in descending top order, so that each power c^j is built
+    only on the leading rows whose top order needs it for the gradient, and
+    no row multiplies a coefficient into a power above its own top. Row r has
+    the bits of ``losses[rows[r]]``'s own gradient at its weights."""
+
+    def __init__(self, losses: list, rows: list):
+        losses = [losses[r] for r in rows]
+        tops = [loss._top for loss in losses]
+        self._returns = losses[0].returns
+        self._centred = losses[0]._centred
+        self._mean_grad = np.array([loss._mean_grad for loss in losses])
+        # rows whose top reaches k, k = 2 .. the first row's top: the rows of
+        # the series that order k adds to, and of the power c^(k−1) it reads
+        self._counts = [sum(t >= k for t in tops) for k in range(2, tops[0] + 1)]
+        coefs, t_count = [loss._coef.tolist() for loss in losses], len(self._returns)
+        self._terms = []
+        for k, rows_k in enumerate(self._counts, start=2):
+            coef = np.array([c[k - 1] for c in coefs[:rows_k]])[:, None]
+            zero = coef[:, 0] == 0.0
+            if not zero.all():
+                self._terms.append((k - 2, rows_k, coef * k / t_count,
+                                    zero if zero.any() else None))
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        if not self._counts:
+            return self._mean_grad.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = _powers(self._returns, w, self._counts)[1]
+            return _gradients(self._centred, self._mean_grad, self._terms, powers)
 
 
 def portfolio_objective(loss: PortfolioLoss, name: str = "portfolio") -> Objective:

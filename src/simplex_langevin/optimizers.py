@@ -507,25 +507,31 @@ def run_optimizer(
     return Trajectory(points, f_values, clamped, resampled)
 
 
-def _final_points(objective: Objective, chains, iters: int) -> list:
-    """Where each ``(method, init, cfg)`` chain ends after ``iters`` steps:
-    the final point of ``run_optimizer(method, objective, init,
-    replace(cfg, max_iters=iters))`` bit for bit, or the ``StepFailureError``
-    it raises. The chains take their float steps in lockstep, with one
-    ``values_and_grads`` call per step over the chains still running (a lone
-    chain takes the faster float form), and keep no history."""
-    steps, live = [], {}
-    for c, (method, init, cfg) in enumerate(chains):
+def _final_points(chains, iters: int, gradients) -> list:
+    """Where each ``(method, objective, init, cfg)`` chain ends after
+    ``iters`` steps: the final point of ``run_optimizer(method, objective,
+    init, replace(cfg, max_iters=iters))`` bit for bit, or the
+    ``StepFailureError`` it raises. The chains take their float steps in
+    lockstep and keep no history. Each step makes one stacked call over the
+    chains still running: ``gradients(rows)``, built again whenever a chain
+    leaves, maps the (K, n) stack of the points of chains ``rows`` to their
+    (K, n) gradients, each row with the bits of its own objective's gradient.
+    A lone chain takes its objective's faster float form."""
+    steps, live, evaluate = [], {}, []
+    for c, (method, objective, init, cfg) in enumerate(chains):
         x, layout = _initial_point(objective, init, cfg.floor)
         steps.append(layout.step(method, cfg))
+        evaluate.append(objective._on_floats())
         live[c] = x.tolist()
     ends = [None] * len(chains)
-    evaluate = objective._on_floats()
+    stack = None
     for k in range(1, iters + 1):
         if len(live) > 1:
-            grads = objective.values_and_grads(np.array([*live.values()]))[1].tolist()
+            if stack is None:
+                stack = gradients(list(live))
+            grads = stack(np.array([*live.values()])).tolist()
         else:
-            grads = [evaluate(x)[1] for x in live.values()]
+            grads = [evaluate[c](x)[1] for c, x in live.items()]
         for (c, x), grad in zip(list(live.items()), grads):
             try:
                 live[c] = steps[c](x, grad)[0]
@@ -533,6 +539,7 @@ def _final_points(objective: Objective, chains, iters: int) -> list:
                 exc.iteration = k
                 ends[c] = exc
                 del live[c]
+                stack = None
     for c, x in live.items():
         ends[c] = np.array(x)
     return ends

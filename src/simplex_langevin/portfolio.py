@@ -5,7 +5,7 @@ A returns CSV (``date,asset1,...,assetn``) is loaded into a
 over it, fits portfolio weights per window by minimizing the λ-weighted
 moment loss with any supported optimizer, and scores each fit on the
 following period. :func:`compare_methods` runs the full methods × presets
-grid, fitting the methods of each preset in lockstep.
+grid, fitting every cell of a window in one lockstep stack.
 
 Out-of-sample loss comes in two labeled variants (see ``VARIANTS``):
 ``literal`` applies the moment loss to the single next-period return, which
@@ -21,13 +21,14 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import barycenter, lift_to_interior
 from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
-from .objectives import _check_lambdas
+from .objectives import _check_lambdas, _RowGradients
 from .optimizers import LmwuConfig, Method, StepFailureError, _final_points
 # no fit calls it; perfbench/tracing.py wraps it in this namespace
 from .optimizers import run_optimizer  # noqa: F401
@@ -134,8 +135,8 @@ class EvaluationReport:
 
     ``dates`` are the scored periods (panel rows ``window`` .. T−1), and
     ``score`` is the arithmetic mean of ``per_period_losses``.
-    ``runtime_seconds`` is the wall time of the lockstep batch that fitted
-    the cell with the other methods of its preset, divided by its cells.
+    ``runtime_seconds`` is the wall time of the lockstep stacks that fitted
+    the cell with every other cell of its grid, divided by the grid's cells.
     """
 
     method: str
@@ -301,19 +302,21 @@ def rolling_window_evaluate(
         StepFailureError: an optimizer step failed; its ``period`` is the
             1-based panel row being scored.
     """
-    (cell,) = _fit_cells(panel, preset, cfg, [(Method(method), cfg.seed)],
+    (cell,) = _fit_cells(panel, cfg, [(Method(method), preset, cfg.seed)],
                          window, variant, warm_start)
     if isinstance(cell, StepFailureError):
         raise cell
     return cell
 
 
-def _fit_cells(panel, preset, cfg, cells, window, variant, warm_start) -> list:
-    """Each ``(method, seed)`` cell's report on one preset under ``cfg``
-    with the cell's seed, or its ``StepFailureError``, located by period.
-    Window by window the fits share one :class:`PortfolioLoss` and step in
-    lockstep; a failed cell leaves the batch. ``runtime_seconds`` is the
-    batch's wall time divided by its cells."""
+def _fit_cells(panel, cfg, cells, window, variant, warm_start) -> list:
+    """Each ``(method, preset, seed)`` cell's report under ``cfg`` with the
+    cell's seed, or its ``StepFailureError``, located by period. Window by
+    window every cell's fit steps in one lockstep stack: the window's
+    centred panel and column means are built once, each cell's loss shares
+    them, and each step makes one gradient call over the stack; a failed
+    cell leaves it. ``runtime_seconds`` is the stack's wall time
+    divided by all its cells."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
     t_total = panel.n_periods
@@ -332,17 +335,23 @@ def _fit_cells(panel, preset, cfg, cells, window, variant, warm_start) -> list:
         live = [c for c, end in enumerate(ends) if end is None]
         if not live:
             break
-        loss_window = PortfolioLoss(panel.returns[j : j + window], preset.lambdas)
-        objective = portfolio_objective(loss_window, name=f"portfolio[{preset.name}]")
-        chains = [(cells[c][0], lift_to_interior(inits[c], floor=cfg.floor),
-                   replace(cfg, seed=_child_seed(cells[c][1], j))) for c in live]
-        for c, w_hat in zip(live, _final_points(objective, chains, cfg.max_iters)):
+        first = PortfolioLoss(panel.returns[j : j + window],
+                              cells[live[0]][1].lambdas)
+        loss_of = {c: first._reweighted(cells[c][1].lambdas) for c in live}
+        # the stack takes its rows in descending top order
+        live.sort(key=lambda c: -loss_of[c]._top)
+        chains = [(method, portfolio_objective(loss_of[c], f"portfolio[{preset.name}]"),
+                   lift_to_interior(inits[c], floor=cfg.floor),
+                   replace(cfg, seed=_child_seed(seed, j)))
+                  for c in live for method, preset, seed in [cells[c]]]
+        gradients = partial(_RowGradients, [loss_of[c] for c in live])
+        for c, w_hat in zip(live, _final_points(chains, cfg.max_iters, gradients)):
             if isinstance(w_hat, StepFailureError):
                 w_hat.period = window + j + 1
                 ends[c] = w_hat
                 continue
             losses[c][j] = _out_of_sample_loss(
-                loss_window, w_hat, panel.returns[window + j], variant
+                loss_of[c], w_hat, panel.returns[window + j], variant
             )
             if warm_start:
                 inits[c] = w_hat
@@ -350,7 +359,7 @@ def _fit_cells(panel, preset, cfg, cells, window, variant, warm_start) -> list:
     return [end or EvaluationReport(method.value, preset.name, window, variant,
                                     panel.dates[window:], loss,
                                     elapsed / len(cells))
-            for end, (method, _), loss in zip(ends, cells, losses)]
+            for end, (method, preset, _), loss in zip(ends, cells, losses)]
 
 
 def compare_methods(
@@ -371,27 +380,22 @@ def compare_methods(
     method and the preset name, so its report does not depend on which
     other cells are in the grid; a cell whose fit fails is recorded in
     ``failures`` (its ``StepFailureError``, located by period) instead of
-    aborting the rest of the grid. The methods of each preset fit together,
-    one lockstep batch per window, and each cell equals its one-cell grid.
+    aborting the rest of the grid. Every cell fits in one lockstep stack per
+    window, and each cell equals its one-cell grid.
 
     Raises:
         ValueError: unknown method, window out of range, unknown variant or
             floor too large, before any fit.
     """
     methods = [Method(m) for m in methods]
-    results = {}
-    for preset in presets:
-        # seeded by the names, not by grid position, so that a cell's fits
-        # do not depend on which other cells were requested; no method
-        # value holds "/"
-        cells = [(m, _child_seed(cfg.seed, *f"{m.value}/{preset.name}".encode()))
-                 for m in methods]
-        fitted = _fit_cells(panel, preset, cfg, cells, window, variant, warm_start)
-        results.update(zip([(m, preset) for m in methods], fitted))
+    # seeded by the names, not by grid position, so that a cell's fits do not
+    # depend on which other cells were requested; no method value holds "/"
+    cells = [(m, p, _child_seed(cfg.seed, *f"{m.value}/{p.name}".encode()))
+             for m in methods for p in presets]
+    fitted = _fit_cells(panel, cfg, cells, window, variant, warm_start)
+    results = {(m.value, p.name): cell for (m, p, _), cell in zip(cells, fitted)}
     reports, failures = {}, {}
-    for method in methods:
-        for preset in presets:
-            cell = results[method, preset]
-            out = failures if isinstance(cell, StepFailureError) else reports
-            out[method.value, preset.name] = cell
+    for key, cell in results.items():
+        out = failures if isinstance(cell, StepFailureError) else reports
+        out[key] = cell
     return reports, failures

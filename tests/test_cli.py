@@ -34,6 +34,14 @@ RETURNS_CSV = """date,a,b
 """
 
 
+# 12 periods of 3 assets with one return of 1e80: the centred series' fourth
+# power overflows, and the equal preset's moments are inf or nan
+OVERFLOW_CSV = "date,a,b,c\n" + "".join(
+    f"d{t},{0.004 * (t % 5) - 0.008!r},"
+    f"{1e80 if t == 5 else 0.003 * (t % 4) - 0.004!r},{0.002 * (t % 3)!r}\n"
+    for t in range(12))
+
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # stands for the path of the ``returns_file`` fixture in parametrized argv
@@ -293,6 +301,35 @@ class TestExitCodes:
             warnings.simplefilter("always")
             code = main(["optimize", "--objective", "f1", "--method", method,
                          "--eps", "1e308", "--iters", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == stderr
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["portfolio", "--window", "8"],
+         "lmwu equal: failed: update denominator nan stayed below floor "
+         "after 16 resamples (period 9, iteration 1)\n"
+         "linear-mwu equal: failed: iterate left the simplex "
+         "(block sum nan, min coord nan) (period 9, iteration 1)\n"
+         "exp-mwu equal: failed: iterate left the simplex "
+         "(block sum nan, min coord nan) (period 9, iteration 1)\n"
+         "proj-langevin equal: failed: Langevin proposal is not finite "
+         "(period 9, iteration 1)\n"),
+        (["optimize"], "error: step failure: update denominator nan stayed "
+         "below floor after 16 resamples (iteration 1)\n"),
+        (["sweep"], "error: step failure: update denominator nan stayed "
+         "below floor after 16 resamples (iteration 1)\n"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    def test_overflowing_moments_print_only_the_step_errors(
+            self, argv, stderr, tmp_path, monkeypatch, capsys):
+        # the centred panel's powers overflow to inf and their sums to nan:
+        # each step raises its own error and the loss warns nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.csv").write_text(OVERFLOW_CSV)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--returns", "big.csv", "--preset", "equal",
+                         "--out", "out"])
         assert code == 1
         assert capsys.readouterr().err == stderr
         assert [str(w.message) for w in caught] == []

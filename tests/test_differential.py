@@ -17,8 +17,9 @@ checked against the floor rule and that row on seeded edge inputs. Both add
 every sum left to right, so n >= 8, where ``ndarray.sum`` adds pairwise, is
 no exception. A second generator draws portfolio grids (panels, presets,
 method subsets, variants, warm and cold starts), and each cell of a grid,
-whose methods fit each preset in lockstep, must equal its one-cell grid,
-failures included. The last check runs the ``exp`` paths in child processes with
+whose cells all fit in one lockstep stack per window, must equal its
+one-cell grid, failures included; so must the cells of two fixed grids
+whose moments overflow where one preset's λ_k are zero. The last check runs the ``exp`` paths in child processes with
 NumPy's SIMD targets disabled, and requires the same bytes as on the full
 CPU.
 """
@@ -58,6 +59,7 @@ from simplex_langevin.optimizers import (
     run_optimizer,
 )
 from simplex_langevin.portfolio import (
+    RISK_PRESETS,
     VARIANTS,
     ReturnPanel,
     RiskPreset,
@@ -555,8 +557,8 @@ def test_public_lmwu_step_equals_the_numpy_row():
 
 
 # ---------------------------------------------------------------------------
-# portfolio grids: each cell of a grid, whose methods fit each preset in
-# lockstep, equals the cell run alone
+# portfolio grids: each cell of a grid, whose cells all fit in one lockstep
+# stack per window, equals the cell run alone
 # ---------------------------------------------------------------------------
 
 GRIDS = 40
@@ -613,31 +615,88 @@ def _grid(grid: Grid, presets, methods):
                            variant=grid.variant, warm_start=grid.warm_start)
 
 
+def _cells_equal_alone(grid: Grid):
+    """Check each cell of ``grid`` against its one-cell grid; returns the
+    grid's ``(reports, failures)``."""
+    reports, failures = _grid(grid, grid.presets, grid.methods)
+    keys = [(m.value, p.name) for m in grid.methods for p in grid.presets]
+    assert list(reports) == [k for k in keys if k in reports], grid.index
+    assert list(failures) == [k for k in keys if k in failures], grid.index
+    for method in grid.methods:
+        for preset in grid.presets:
+            key = (method.value, preset.name)
+            alone, alone_failures = _grid(grid, [preset], [method])
+            if key in failures:
+                exc, ref = failures[key], alone_failures[key]
+                assert (str(exc), exc.period, exc.iteration) == (
+                    str(ref), ref.period, ref.iteration), grid.index
+                continue
+            assert key not in alone_failures, grid.index
+            assert (reports[key].per_period_losses.tobytes()
+                    == alone[key].per_period_losses.tobytes()), grid.index
+            assert reports[key].score == alone[key].score, grid.index
+    return reports, failures
+
+
 def test_grid_cells_equal_the_cell_alone():
     failed, mixed, later = 0, 0, 0
     for grid in generate_grids():
-        reports, failures = _grid(grid, grid.presets, grid.methods)
-        keys = [(m.value, p.name) for m in grid.methods for p in grid.presets]
-        assert list(reports) == [k for k in keys if k in reports], grid.index
-        assert list(failures) == [k for k in keys if k in failures], grid.index
-        for method in grid.methods:
-            for preset in grid.presets:
-                key = (method.value, preset.name)
-                alone, alone_failures = _grid(grid, [preset], [method])
-                if key in failures:
-                    exc, ref = failures[key], alone_failures[key]
-                    assert (str(exc), exc.period, exc.iteration) == (
-                        str(ref), ref.period, ref.iteration), grid.index
-                    failed += 1
-                    mixed += any(k[1] == preset.name for k in reports)
-                    later += exc.period > grid.window + 1
-                    continue
-                assert key not in alone_failures, grid.index
-                assert (reports[key].per_period_losses.tobytes()
-                        == alone[key].per_period_losses.tobytes()), grid.index
-                assert reports[key].score == alone[key].score, grid.index
+        reports, failures = _cells_equal_alone(grid)
+        for (_, preset), exc in failures.items():
+            failed += 1
+            mixed += any(k[1] == preset for k in reports)
+            later += exc.period > grid.window + 1
     # failures beside methods that finish, and failures past the first window
     assert failed and mixed and later
+
+
+NAN_EXIT = "iterate left the simplex (block sum nan, min coord nan)"
+
+
+@pytest.mark.parametrize("returns, window, presets, texts", [
+    # 12 periods with one return of 1e80: mv's centred series stays finite
+    # up to its square, equal's overflows at its fourth power; mv's zero
+    # λ_3..λ_5 times those powers would give its gradient nan
+    ([[0.004 * (t % 5) - 0.008, 1e80 if t == 5 else 0.003 * (t % 4) - 0.004,
+       0.002 * (t % 3)] for t in range(12)], 8,
+     [RISK_PRESETS["mv"], RISK_PRESETS["equal"]],
+     {("linear-mwu", "mv"): "eps=1e-150 makes a multiplier nonpositive "
+                            "(min -3.646e+08)",
+      ("linear-mwu", "equal"): NAN_EXIT,
+      ("exp-mwu", "mv"): "iterate left the simplex (block sum 1.0, "
+                         "min coord 0.0)",
+      ("exp-mwu", "equal"): NAN_EXIT}),
+    # a window of 2 with a return of 1e160: c² overflows, and c³ gives the
+    # sparse preset a −inf gradient as long as its zero λ_3 adds nothing,
+    # where mvsk's λ_3 weighs in
+    ([[0.01, 1e160, 0.0], [0.0, -0.5, 0.02], [0.01, 0.01, 0.01]], 2,
+     [RiskPreset("sparse", (0.5, 0.0, 0.0, 0.5)), RISK_PRESETS["mvsk"]],
+     {("linear-mwu", "sparse"): "eps=1e-150 makes a multiplier nonpositive "
+                                "(min -inf)",
+      ("linear-mwu", "mvsk"): NAN_EXIT,
+      ("exp-mwu", "sparse"): NAN_EXIT,
+      ("exp-mwu", "mvsk"): NAN_EXIT}),
+], ids=["above-the-top-order", "zero-weight-below-it"])
+def test_overflowing_grid_cells_keep_their_own_orders(returns, window,
+                                                      presets, texts):
+    # each row of the shared stack adds only its own preset's terms
+    periods = len(returns)
+    panel = ReturnPanel(tuple(f"d{t}" for t in range(periods)),
+                        ("a", "b", "c"), np.array(returns))
+    grid = Grid("overflow", panel, presets, [Method.LINEAR_MWU, Method.EXP_MWU],
+                LmwuConfig(eps=1e-150, beta=1e8, max_iters=20, floor=1e-6),
+                window, "literal", True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports, failures = _cells_equal_alone(grid)
+    assert reports == {}
+    assert {key: str(exc) for key, exc in failures.items()} == {
+        key: f"{text} (period {window + 1}, iteration 1)"
+        for key, text in texts.items()}
+
+
+def _top(preset: RiskPreset) -> int:
+    return max(k for k, lam in enumerate(preset.lambdas, 1) if lam != 0.0)
 
 
 def test_grids_reach_the_regimes_they_claim():
@@ -646,6 +705,16 @@ def test_grids_reach_the_regimes_they_claim():
     assert {g.warm_start for g in grids} == {True, False}
     assert any(len(g.methods) == len(Method) for g in grids)
     assert any(0.0 in p.lambdas[:-1] for g in grids for p in g.presets)
+    # one stack of presets of different top orders, which a failed cell
+    # leaves while the cells of a preset of another top order finish
+    shared = []
+    for g in grids:
+        tops = {p.name: _top(p) for p in g.presets}
+        if len(set(tops.values())) > 1:
+            reports, failures = _grid(g, g.presets, g.methods)
+            shared += [g.index for (_, p) in failures
+                       if any(tops[q] != tops[p] for _, q in reports)]
+    assert shared
 
 
 # NumPy's AVX-512 dispatch targets, and every dispatch target (the baseline
