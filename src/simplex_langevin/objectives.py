@@ -139,8 +139,11 @@ def _double_well(qa, ca, qb, cb, shift):
     form, which does the same operations in the same order on each row:
     NumPy adds a row's three terms left to right from 0.0, and no term is
     −0. exp and log stay ``math`` calls per row there: NumPy's vectorized
-    exp and log may round differently. A zero ``shift`` changes no value: a
-    sum is −0 only when both addends are, and p_2 is a simplex coordinate.
+    exp and log may round differently. Each form takes one exp per point,
+    exp(−|a − b|) for the smaller exponent: the larger one's exp(0.0) is
+    1.0 exactly, and b − a is −(a − b) exactly. A zero ``shift`` changes no
+    value: a sum is −0 only when both addends are, and p_2 is a simplex
+    coordinate.
     """
     (qa0, qa1, qa2), (ca0, ca1, ca2), (qb0, qb1, qb2), (cb0, cb1, cb2) = (
         t.tolist() for t in (qa, ca, qb, cb))
@@ -151,9 +154,8 @@ def _double_well(qa, ca, qb, cb, shift):
         b0, b1, b2 = x0 - cb0, x1 - cb1, x2 - cb2
         a = -(qa0 * a0 * a0 + qa1 * a1 * a1 + qa2 * a2 * a2)
         b = -(qb0 * b0 * b0 + qb1 * b1 * b1 + qb2 * b2 * b2)
-        m = a if a >= b else b
-        ea = math.exp(a - m)
-        eb = math.exp(b - m)
+        e = math.exp(-abs(a - b))
+        m, ea, eb = (a, 1.0, e) if a >= b else (b, e, 1.0)
         s = ea + eb
         wa, wb = ea / s, eb / s
         grad = [wa * (2.0 * qa0 * a0) + wb * (2.0 * qb0 * b0),
@@ -161,18 +163,21 @@ def _double_well(qa, ca, qb, cb, shift):
                 wa * (2.0 * qa2 * a2) + wb * (2.0 * qb2 * b2)]
         return -(m + math.log(s)) + x1 + shift, grad
 
+    twice_qa, twice_qb = 2.0 * qa, 2.0 * qb
+
     def rows(p):
         da = p - ca
         db = p - cb
         a = -(qa * da * da).sum(axis=-1)
         b = -(qb * db * db).sum(axis=-1)
-        m = np.where(a >= b, a, b)
-        ea = np.array([math.exp(t) for t in (a - m).tolist()])
-        eb = np.array([math.exp(t) for t in (b - m).tolist()])
+        first = a >= b
+        m = np.where(first, a, b)
+        e = np.array(list(map(math.exp, (-np.abs(a - b)).tolist())))
+        ea, eb = np.where(first, 1.0, e), np.where(first, e, 1.0)
         s = ea + eb
-        value = -(m + np.array([math.log(t) for t in s.tolist()]))
-        grad = ((ea / s)[:, None] * (2.0 * qa * da)
-                + (eb / s)[:, None] * (2.0 * qb * db))
+        value = -(m + np.array(list(map(math.log, s.tolist()))))
+        grad = ((ea / s)[:, None] * (twice_qa * da)
+                + (eb / s)[:, None] * (twice_qb * db))
         grad[:, 1] += 1.0
         return value + p[:, 1] + shift, grad
 

@@ -568,15 +568,22 @@ class _Normals:
     A generator's normals do not depend on how calls split them, so drawing
     a block of draws at once and handing them out in order gives each chain
     the values ``rng.standard_normal(n)`` would give it, draw after draw.
+    Until some call leaves a chain out, every chain sits at one offset.
     """
 
     def __init__(self, rngs: list[np.random.Generator], n: int):
         self.rngs = rngs
         self._buf = np.empty((len(rngs), max(1, _NORMAL_BLOCK // n), n))
         self._used = np.full(len(rngs), self._buf.shape[1])
+        self._apart = False
 
     def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next draw of each chain in ``rows`` (distinct indices)."""
+        """The next draw of each chain in ``rows`` (distinct indices); while
+        the chains sit at one offset and all draw, a column of the buffer."""
+        self._apart |= rows.size < len(self.rngs)
+        if not self._apart and self._used[0] < self._buf.shape[1]:
+            self._used += 1
+            return self._buf[:, self._used[0] - 1]
         for k in rows[self._used[rows] == self._buf.shape[1]]:
             self._buf[k] = self.rngs[k].standard_normal(self._buf.shape[1:])
             self._used[k] = 0
@@ -590,7 +597,13 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
     normal draw of each row in ``rows``, and only rejected rows draw again.
     Returns the new points of the rows before the first row that failed,
     their clamped and resampled masks, and that row's (index, error) or
-    None."""
+    None.
+
+    Each question (does a row redraw or fail, clamp, leave the simplex) is
+    first put to the whole stack as one min or max, which passes exactly
+    when every row's would, and fails on a NaN. Only a failed check builds
+    the row masks, so the bits are those of the per-row checks.
+    """
     eps, beta, floor = float(cfg.eps), float(cfg.beta), float(cfg.floor)
     # overflowing inputs (ε·g or the drift at ±inf, inf − inf in a sum, an
     # accepted +inf numerator: inf / inf) end in the step's own error
@@ -602,28 +615,33 @@ def _lmwu_rows(x, grad, cfg: LmwuConfig, take):
         scale = np.sqrt((2.0 * eps / beta) * x)
         numer = base + (drift + scale * take(np.arange(len(x))))
         total = _left_sum(numer)
-        ok = (total > floor) & (numer.min(axis=-1) > 0.0)
-        resampled = ~ok
-        for _ in range(_RESAMPLE_LIMIT):
-            rows = np.flatnonzero(~ok)
-            if rows.size == 0:
-                break
-            redraw = base[rows] + (drift + scale[rows] * take(rows))
-            numer[rows] = redraw
-            total[rows] = _left_sum(redraw)
-            ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
-        # past its resamples a row keeps its last draw: clamped while the sum
-        # is above the floor, failed otherwise
-        failed = np.flatnonzero(~(total > floor))
-        m = int(failed[0]) if failed.size else len(x)
+        m, failure = len(x), None
+        resampled = clamped = np.zeros(m, dtype=bool)
+        if not (numer.min() > 0.0 and total.min() > floor):
+            ok = (total > floor) & (numer.min(axis=-1) > 0.0)
+            resampled = ~ok
+            for _ in range(_RESAMPLE_LIMIT):
+                rows = np.flatnonzero(~ok)
+                if rows.size == 0:
+                    break
+                redraw = base[rows] + (drift + scale[rows] * take(rows))
+                numer[rows] = redraw
+                total[rows] = _left_sum(redraw)
+                ok[rows] = (total[rows] > floor) & (redraw.min(axis=-1) > 0.0)
+            # past its resamples a row keeps its last draw: clamped while the
+            # sum is above the floor, failed otherwise
+            failed = np.flatnonzero(~(total > floor))
+            if failed.size:
+                m = int(failed[0])
+                failure = (m, _denominator_failure(float(total[m])))
         points = numer[:m] / total[:m, None]
-        clamped = points.min(axis=-1) < floor
-        for k in np.flatnonzero(clamped):
-            points[k] = _pin_floor(points[k].tolist(), floor)
-        failure = (m, _denominator_failure(float(total[m]))) if failed.size else None
-        off = np.flatnonzero(_left_simplex(points))
-        if off.size:
-            m = int(off[0])
+        if not points.min(initial=floor) >= floor:
+            clamped = points.min(axis=-1) < floor
+            for k in np.flatnonzero(clamped):
+                points[k] = _pin_floor(points[k].tolist(), floor)
+        # every coordinate is now at or above the floor, or a row is NaN
+        if not np.abs(_left_sum(points) - 1.0).max(initial=0.0) <= SUM_TOL:
+            m = int(np.flatnonzero(_left_simplex(points))[0])
             failure = (m, _off_simplex_error(points[m]))
         return points[:m], clamped[:m], resampled[:m], failure
 

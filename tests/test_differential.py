@@ -189,6 +189,27 @@ def test_cases_reach_the_regimes_they_claim(references):
     assert any(traj.clamped.any() for case, trajs, _ in references
                for traj in trajs if case.method is Method.LMWU)
     assert any(case.init.min() == case.cfg.floor for case, _, _ in references)
+    # in one run_chains stack of lmwu seeds: an iteration where some seed
+    # redraws or clamps beside a seed that does neither, so the row masks of
+    # _lmwu_rows run beside plain rows; and a seed that redrew and still runs
+    # past its next block of normals, which _Normals then hands out while
+    # the seeds sit at different offsets
+    mixed = refilled_apart = False
+    for case, trajs, _ in references:
+        if case.method is not Method.LMWU or not trajs:
+            continue
+        flags = np.array([t.resampled | t.clamped for t in trajs])
+        mixed |= bool((flags.any(axis=0) & ~flags.all(axis=0)).any())
+        block = optimizers._NORMAL_BLOCK // case.objective.dim
+        for traj in trajs:
+            redrawn = np.flatnonzero(traj.resampled)
+            if redrawn.size:
+                # iteration k's first redraw is draw k (from 0), and the
+                # chain takes a draw per step and at least one more per
+                # redrawn step
+                refill = -(-(redrawn[0] + 1) // block) * block
+                refilled_apart |= bool(traj.iters + traj.resampled.sum() > refill)
+    assert mixed and refilled_apart
 
 
 def numpy_linear_mwu(x, g, eps):
@@ -285,7 +306,9 @@ def branch_cases() -> list[Case]:
     β = 1e8 and floor 1e-6 clamp on quadratics of n = 3, 5, 7 and 10. The
     same two settings run on a product of simplices of 3 and 9 coordinates,
     and a linear objective steep on the second block only fails
-    ``linear-mwu`` there."""
+    ``linear-mwu`` there. Last, ``lmwu`` with every numerator positive and
+    their sum below the floor (ε = 1, β = 1e20, each g_i = 1 − 1e-8), which
+    it redraws until it fails."""
     rng = np.random.default_rng(7)
     resample = LmwuConfig(eps=0.03, beta=1.0, max_iters=5)
     clamp = LmwuConfig(eps=0.5, beta=1e8, max_iters=200, floor=1e-6)
@@ -305,6 +328,11 @@ def branch_cases() -> list[Case]:
     cases.append(Case(-1, Method.LINEAR_MWU,
                       _quadratic(np.zeros((12, 12)), steep, (3, 9)),
                       cases[-1].init, resample, seeds))
+    cases.append(Case(-1, Method.LMWU,
+                      _quadratic(np.zeros((3, 3)), np.full(3, 1.0 - 1e-8)),
+                      np.full(3, 1.0 / 3.0),
+                      LmwuConfig(eps=1.0, beta=1e20, max_iters=3, floor=1e-6),
+                      seeds))
     return cases
 
 

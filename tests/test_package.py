@@ -1,7 +1,10 @@
 """The package's public surface is the union of its modules' ``__all__``,
-and every name the benchmark's tracer wraps still exists."""
+every name the benchmark's tracer wraps still exists, and the CLI imports
+no SciPy."""
 import importlib
 import os
+import subprocess
+import sys
 
 import simplex_langevin
 from simplex_langevin import geometry, objectives, optimizers, portfolio
@@ -32,6 +35,19 @@ def test_removed_exception_types_are_gone():
     for module in (simplex_langevin, *MODULES):
         for name in ("RetractionFailureError", "PortfolioFitError"):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_cli_does_not_import_scipy():
+    # the tests may use SciPy; the package does not, and each import it
+    # makes is paid by every CLI start
+    package_root = os.path.dirname(os.path.dirname(simplex_langevin.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    child = ("import sys, simplex_langevin.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
