@@ -13,7 +13,6 @@ minimizer is (0, 0, 0, 94/275, 116/275, 13/55).
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -362,16 +361,12 @@ class PortfolioLoss:
             raise ValueError("returns must be finite")
         object.__setattr__(self, "_rbar", r.mean(axis=0))
         object.__setattr__(self, "_centred", r - self._rbar)
-        self._weigh()
-
-    def _weigh(self) -> None:
-        """Check ``lambdas`` and set the fields that depend on them."""
         lam = self.lambdas
         _check_lambdas(lam)
         signs = np.array([(-1.0) ** k for k in range(1, lam.size + 1)])
         coef = signs * lam
         top = max(k for k in range(1, lam.size + 1) if lam[k - 1] != 0.0)
-        c, t_count = coef.tolist(), self.returns.shape[0]
+        c, t_count = coef.tolist(), r.shape[0]
         object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_mean_grad", coef[0] * self._rbar)
         object.__setattr__(self, "_top", top)
@@ -380,14 +375,6 @@ class PortfolioLoss:
         object.__setattr__(self, "_terms", tuple(
             (k - 2, None, c[k - 1] * k / t_count, None)
             for k in range(2, top + 1) if c[k - 1] != 0.0))
-
-    def _reweighted(self, lambdas) -> PortfolioLoss:
-        """The loss of this panel under ``lambdas``; it shares the panel,
-        its column means and the centred panel with this loss."""
-        loss = copy.copy(self)
-        object.__setattr__(loss, "lambdas", np.asarray(lambdas, dtype=float))
-        loss._weigh()
-        return loss
 
     @property
     def n_assets(self) -> int:
@@ -498,11 +485,12 @@ def _portfolio_value_and_grad(loss: PortfolioLoss, w) -> tuple:
 class _RowGradients:
     """The moment-loss gradients at a (K, n) stack of weights, row r under
     the λ weights of ``losses[rows[r]]``: the portfolio grid's one call per
-    step. The losses share one panel (:meth:`PortfolioLoss._reweighted`) and
-    the rows come in descending top order, so that each power c^j is built
-    only on the leading rows whose top order needs it for the gradient, and
-    no row multiplies a coefficient into a power above its own top. Row r has
-    the bits of ``losses[rows[r]]``'s own gradient at its weights."""
+    step. The losses are of one panel, so the first one's centred panel
+    serves them all, and the rows come in descending top order, so that
+    each power c^j is built only on the leading rows whose top order needs
+    it for the gradient, and no row multiplies a coefficient into a power
+    above its own top. Row r has the bits of ``losses[rows[r]]``'s own
+    gradient at its weights."""
 
     def __init__(self, losses: list, rows: list):
         losses = [losses[r] for r in rows]

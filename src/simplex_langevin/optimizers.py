@@ -508,30 +508,30 @@ def run_optimizer(
 
 
 def _final_points(chains, iters: int, gradients) -> list:
-    """Where each ``(method, objective, init, cfg)`` chain ends after
-    ``iters`` steps: the final point of ``run_optimizer(method, objective,
-    init, replace(cfg, max_iters=iters))`` bit for bit, or the
-    ``StepFailureError`` it raises. The chains take their float steps in
-    lockstep and keep no history. Each step makes one stacked call over the
-    chains still running: ``gradients(rows)``, built again whenever a chain
-    leaves, maps the (K, n) stack of the points of chains ``rows`` to their
-    (K, n) gradients, each row with the bits of its own objective's gradient.
-    A lone chain takes its objective's faster float form."""
-    steps, live, evaluate = [], {}, []
-    for c, (method, objective, init, cfg) in enumerate(chains):
-        x, layout = _initial_point(objective, init, cfg.floor)
+    """Where each ``(method, init, cfg)`` chain on one simplex ends after
+    ``iters`` steps, or the ``StepFailureError`` its step raised, located by
+    iteration. The chains take their float steps in lockstep and keep no
+    history. Each step makes one stacked call over the chains still running:
+    ``gradients(rows)``, built again whenever a chain leaves, maps the (K, n)
+    stack of the points of chains ``rows`` to their (K, n) gradients. A chain
+    whose row has the bits of its objective's gradient ends as
+    ``run_optimizer(method, objective, init, replace(cfg, max_iters=iters))``
+    does, bit for bit."""
+    steps, live = [], {}
+    for c, (method, init, cfg) in enumerate(chains):
+        x = np.array(init, dtype=float)
+        layout = _BlockLayout([x.size])
+        layout.validate_init(x, cfg.floor)
         steps.append(layout.step(method, cfg))
-        evaluate.append(objective._on_floats())
         live[c] = x.tolist()
     ends = [None] * len(chains)
     stack = None
     for k in range(1, iters + 1):
-        if len(live) > 1:
-            if stack is None:
-                stack = gradients(list(live))
-            grads = stack(np.array([*live.values()])).tolist()
-        else:
-            grads = [evaluate[c](x)[1] for c, x in live.items()]
+        if not live:
+            break
+        if stack is None:
+            stack = gradients(list(live))
+        grads = stack(np.array([*live.values()])).tolist()
         for (c, x), grad in zip(list(live.items()), grads):
             try:
                 live[c] = steps[c](x, grad)[0]

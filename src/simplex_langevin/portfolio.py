@@ -27,7 +27,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .geometry import barycenter, lift_to_interior
-from .objectives import PortfolioLoss, portfolio_moments, portfolio_objective
+from .objectives import PortfolioLoss, portfolio_moments
 from .objectives import _check_lambdas, _RowGradients
 from .optimizers import LmwuConfig, Method, StepFailureError, _final_points
 # no fit calls it; perfbench/tracing.py wraps it in this namespace
@@ -312,11 +312,11 @@ def rolling_window_evaluate(
 def _fit_cells(panel, cfg, cells, window, variant, warm_start) -> list:
     """Each ``(method, preset, seed)`` cell's report under ``cfg`` with the
     cell's seed, or its ``StepFailureError``, located by period. Window by
-    window every cell's fit steps in one lockstep stack: the window's
-    centred panel and column means are built once, each cell's loss shares
-    them, and each step makes one gradient call over the stack; a failed
-    cell leaves it. ``runtime_seconds`` is the stack's wall time
-    divided by all its cells."""
+    window every cell's fit steps in one lockstep stack, a lone cell's too:
+    one loss per preset on the window's rows serves every cell of that
+    preset, and each step makes one gradient call over the stack; a failed
+    cell leaves it. ``runtime_seconds`` is the stack's wall time divided by
+    all its cells."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r} (expected {VARIANTS})")
     t_total = panel.n_periods
@@ -335,15 +335,15 @@ def _fit_cells(panel, cfg, cells, window, variant, warm_start) -> list:
         live = [c for c, end in enumerate(ends) if end is None]
         if not live:
             break
-        first = PortfolioLoss(panel.returns[j : j + window],
-                              cells[live[0]][1].lambdas)
-        loss_of = {c: first._reweighted(cells[c][1].lambdas) for c in live}
+        rows = panel.returns[j : j + window]
+        per_preset = {p: PortfolioLoss(rows, p.lambdas)
+                      for p in dict.fromkeys(cells[c][1] for c in live)}
+        loss_of = {c: per_preset[cells[c][1]] for c in live}
         # the stack takes its rows in descending top order
         live.sort(key=lambda c: -loss_of[c]._top)
-        chains = [(method, portfolio_objective(loss_of[c], f"portfolio[{preset.name}]"),
-                   lift_to_interior(inits[c], floor=cfg.floor),
+        chains = [(method, lift_to_interior(inits[c], floor=cfg.floor),
                    replace(cfg, seed=_child_seed(seed, j)))
-                  for c in live for method, preset, seed in [cells[c]]]
+                  for c in live for method, _, seed in [cells[c]]]
         gradients = partial(_RowGradients, [loss_of[c] for c in live])
         for c, w_hat in zip(live, _final_points(chains, cfg.max_iters, gradients)):
             if isinstance(w_hat, StepFailureError):
@@ -381,7 +381,8 @@ def compare_methods(
     other cells are in the grid; a cell whose fit fails is recorded in
     ``failures`` (its ``StepFailureError``, located by period) instead of
     aborting the rest of the grid. Every cell fits in one lockstep stack per
-    window, and each cell equals its one-cell grid.
+    window; each window's fit ends where ``run_optimizer`` on that window's
+    loss ends, bit for bit, so each cell equals its one-cell grid.
 
     Raises:
         ValueError: unknown method, window out of range, unknown variant or

@@ -18,10 +18,11 @@ every sum left to right, so n >= 8, where ``ndarray.sum`` adds pairwise, is
 no exception. A second generator draws portfolio grids (panels, presets,
 method subsets, variants, warm and cold starts), and each cell of a grid,
 whose cells all fit in one lockstep stack per window, must equal its
-one-cell grid, failures included; so must the cells of two fixed grids
-whose moments overflow where one preset's λ_k are zero. The last check runs the ``exp`` paths in child processes with
-NumPy's SIMD targets disabled, and requires the same bytes as on the full
-CPU.
+one-cell grid and a rolling loop that fits each window with
+``run_optimizer``, failures included; so must the cells of two fixed grids
+whose moments overflow where one preset's λ_k are zero. The last check
+runs the ``exp`` paths in child processes with NumPy's SIMD targets
+disabled, and requires the same bytes as on the full CPU.
 """
 import itertools
 import math
@@ -43,11 +44,17 @@ from simplex_langevin.geometry import (
     _left_simplex,
     _left_sum,
     _require_floor,
+    barycenter,
     euclidean_simplex_projection,
     exp_map,
     lift_to_interior,
 )
-from simplex_langevin.objectives import Objective
+from simplex_langevin.objectives import (
+    Objective,
+    PortfolioLoss,
+    portfolio_moments,
+    portfolio_objective,
+)
 from simplex_langevin.optimizers import (
     LmwuConfig,
     Method,
@@ -63,6 +70,7 @@ from simplex_langevin.portfolio import (
     VARIANTS,
     ReturnPanel,
     RiskPreset,
+    _child_seed,
     compare_methods,
 )
 
@@ -586,7 +594,7 @@ def test_public_lmwu_step_equals_the_numpy_row():
 
 # ---------------------------------------------------------------------------
 # portfolio grids: each cell of a grid, whose cells all fit in one lockstep
-# stack per window, equals the cell run alone
+# stack per window, equals the cell run alone and its fits by run_optimizer
 # ---------------------------------------------------------------------------
 
 GRIDS = 40
@@ -643,9 +651,39 @@ def _grid(grid: Grid, presets, methods):
                            variant=grid.variant, warm_start=grid.warm_start)
 
 
+def rolling_fit(grid: Grid, method: Method, preset: RiskPreset):
+    """The cell's rolling fit, window by window through ``run_optimizer``
+    on the window's loss, seeded as ``compare_methods`` seeds the cell: its
+    per-period losses, or the ``StepFailureError`` of its first failed fit,
+    located by period."""
+    returns, window, cfg = grid.panel.returns, grid.window, grid.cfg
+    cell_seed = _child_seed(cfg.seed, *f"{method.value}/{preset.name}".encode())
+    coef = [(-1.0) ** k * lam for k, lam in enumerate(preset.lambdas, 1)]
+    prev, losses = barycenter(returns.shape[1]), []
+    for j in range(len(returns) - window):
+        loss = PortfolioLoss(returns[j:j + window], preset.lambdas)
+        try:
+            w_hat = run_optimizer(method, portfolio_objective(loss),
+                                  lift_to_interior(prev, floor=cfg.floor),
+                                  replace(cfg, seed=_child_seed(cell_seed, j))
+                                  ).final_point
+        except StepFailureError as exc:
+            exc.period = window + j + 1
+            return exc
+        out = coef[0] * float(w_hat @ returns[window + j])
+        if grid.variant == "window-moments":
+            moments = portfolio_moments(loss, w_hat)
+            for k in range(2, len(coef) + 1):
+                out += coef[k - 1] * moments[k - 1]
+        losses.append(out)
+        if grid.warm_start:
+            prev = w_hat
+    return np.array(losses)
+
+
 def _cells_equal_alone(grid: Grid):
-    """Check each cell of ``grid`` against its one-cell grid; returns the
-    grid's ``(reports, failures)``."""
+    """Check each cell of ``grid`` against its one-cell grid and against
+    its :func:`rolling_fit`; returns the grid's ``(reports, failures)``."""
     reports, failures = _grid(grid, grid.presets, grid.methods)
     keys = [(m.value, p.name) for m in grid.methods for p in grid.presets]
     assert list(reports) == [k for k in keys if k in reports], grid.index
@@ -654,14 +692,18 @@ def _cells_equal_alone(grid: Grid):
         for preset in grid.presets:
             key = (method.value, preset.name)
             alone, alone_failures = _grid(grid, [preset], [method])
+            ref = rolling_fit(grid, method, preset)
             if key in failures:
-                exc, ref = failures[key], alone_failures[key]
-                assert (str(exc), exc.period, exc.iteration) == (
-                    str(ref), ref.period, ref.iteration), grid.index
+                assert isinstance(ref, StepFailureError), grid.index
+                for exc in failures[key], alone_failures[key]:
+                    assert (str(exc), exc.period, exc.iteration) == (
+                        str(ref), ref.period, ref.iteration), grid.index
                 continue
             assert key not in alone_failures, grid.index
-            assert (reports[key].per_period_losses.tobytes()
-                    == alone[key].per_period_losses.tobytes()), grid.index
+            assert not isinstance(ref, StepFailureError), grid.index
+            for report in reports[key], alone[key]:
+                assert (report.per_period_losses.tobytes()
+                        == ref.tobytes()), grid.index
             assert reports[key].score == alone[key].score, grid.index
     return reports, failures
 

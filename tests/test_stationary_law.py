@@ -18,6 +18,11 @@ grows as 1/x_min, and at f ≡ 0, β = 1 every chain below raises
 ``StepFailureError`` before εk = 1. Those tests are kept as the evidence.
 Whether the paper's drift is either formula is open: PAPER.md holds only
 its abstract.
+
+The last test checks the library's one step against the generator of
+Langevin dynamics in the Shahshahani metric: the mean and covariance of
+many steps from one point, at two step sizes, with the O(ε²) bias of the
+mean measured and matched to its series term.
 """
 from dataclasses import replace
 
@@ -169,3 +174,92 @@ def test_reference_samples_uniform_law_on_five_coordinates():
     # Var x_1 = 2/75, SE 0.00069, bias −0.0004
     x = lmwu_chains(5, np.zeros_like, CHAINS, STEPS, SEED)
     assert abs(x[:, 0].var() - 2.0 / 75.0) < 0.0035
+
+
+# One lmwu step from x with gradient g: far from the boundary, and with a
+# coordinate near it, where a larger β keeps the noise clear of the redraw
+# and the clamp. GENERATOR_STEPS steps per case and ε, drawn in chunks of
+# rows.
+GENERATOR_CASES = [
+    ([0.2, 0.5, 0.3], [1.0, -0.5, 0.3], 2.0),
+    ([0.004, 0.296, 0.5, 0.2], [-1.0, 2.0, 0.5, 0.0], 200.0),
+]
+GENERATOR_STEPS, GENERATOR_CHUNK = 2_000_000, 250_000
+
+
+def one_step_moments(x, g, cfg, seed):
+    """Mean and covariance of Δx over ``GENERATOR_STEPS`` lmwu steps from
+    ``x``, each drawn by ``_lmwu_rows`` with normals from one generator, and
+    the mean and standard error of e = Δx − D − N: the step less its first
+    order, D the generator's drift and N = r⊙z − x·Σ r⊙z (r = √(2εx/β),
+    z the row's accepted draw) its noise, which has mean 0 and covariance
+    the generator's. e is O(ε) per step, so its mean, the O(ε²) bias of
+    E[Δx], is measured far more finely than the mean of Δx itself."""
+    rng = np.random.default_rng(seed)
+    n, eps, beta = x.size, cfg.eps, cfg.beta
+    drift = eps * (-x * (g - x @ g) + (1.0 - n * x) / beta)
+    r = np.sqrt(2.0 * eps / beta * x)
+    xs, gs = np.tile(x, (GENERATOR_CHUNK, 1)), np.tile(g, (GENERATOR_CHUNK, 1))
+    z = np.empty((GENERATOR_CHUNK, n))
+    sums = np.zeros(n), np.zeros((n, n)), np.zeros(n), np.zeros(n)
+
+    def take(rows):
+        z[rows] = rng.standard_normal((rows.size, n))
+        return z[rows]
+
+    for _ in range(GENERATOR_STEPS // GENERATOR_CHUNK):
+        points, clamped, _, failure = optimizers._lmwu_rows(xs, gs, cfg, take)
+        assert failure is None and not clamped.any()
+        dx = points - x
+        e = dx - drift - (r * z - x * (r * z).sum(axis=1, keepdims=True))
+        for total, part in zip(sums, (dx.sum(0), dx.T @ dx, e.sum(0),
+                                      (e * e).sum(0))):
+            total += part
+    k = GENERATOR_STEPS
+    mean = sums[0] / k
+    bias = sums[2] / k
+    return (mean, sums[1] / k - np.outer(mean, mean), bias,
+            np.sqrt((sums[3] / k - bias * bias) / k))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("x, g, beta", GENERATOR_CASES,
+                         ids=["far", "near-boundary"])
+def test_one_lmwu_step_has_the_generator_moments(x, g, beta, eps):
+    # To first order one step has the Shahshahani-metric Langevin generator's
+    # moments: E[Δx] = ε[−x⊙(g − ⟨x,g⟩) + (1 − n·x)/β] = D and
+    # Cov[Δx] = (2ε/β)(diag x − x xᵀ) = C. The step is Δx = (a + w)/(1 + S) − x,
+    # with a = (x − εx⊙g + ε/β)/(1 + m), m = ε(n/β − ⟨x,g⟩), w Gaussian with
+    # Cov q_i δ_ij, q = (2ε/β)x/(1 + m)², and S = Σw of variance Q = Σq.
+    # Expanding 1/(1 + S) in Gaussian moments gives the O(ε²) terms:
+    # E[Δx] = (a − x)(1 + Q + 3Q²) = D(1 + Q − m) + O(ε³) and the covariance
+    # below. The bound is |z| < 4, as criterion 03's.
+    x, g = np.array(x), np.array(g)
+    cfg = LmwuConfig(eps=eps, beta=beta, max_iters=1)
+    mean, cov, bias, bias_se = one_step_moments(x, g, cfg, seed=16)
+    n, v = x.size, 2.0 * eps / beta
+    drift = eps * (-x * (g - x @ g) + (1.0 - n * x) / beta)
+    gen_cov = v * (np.diag(x) - np.outer(x, x))
+    m = eps * (n / beta - x @ g)
+    a = (x - eps * x * g + eps / beta) / (1.0 + m)
+    q = v * x / (1.0 + m) ** 2
+    big_q = q.sum()
+    mean2 = (a - x) * (1.0 + big_q + 3.0 * big_q ** 2)
+    aq = np.outer(a, q) + np.outer(q, a)
+    cov2 = (np.diag(q) * (1.0 + 3.0 * big_q) - aq * (1.0 + 8.0 * big_q)
+            + np.outer(a, a) * big_q * (1.0 + 8.0 * big_q) + 5.0 * np.outer(q, q))
+    mean_se = np.sqrt(np.diag(gen_cov) / GENERATOR_STEPS)
+    cov_se = np.sqrt((np.outer(np.diag(gen_cov), np.diag(gen_cov)) + gen_cov ** 2)
+                     / GENERATOR_STEPS)
+    # the O(ε²) bias, measured: it is the expansion's term at both ε
+    assert np.abs((bias - (mean2 - drift)) / bias_se).max() < 4.0
+    assert np.abs((mean - mean2) / mean_se).max() < 4.0
+    assert np.abs((cov - cov2) / cov_se).max() < 4.0
+    if eps == 1e-3:
+        # the bias is below the sampling error: the first order alone holds
+        assert np.abs((mean - drift) / mean_se).max() < 4.0
+        assert np.abs((cov - gen_cov) / cov_se).max() < 4.0
+    else:
+        # near the boundary it is not: the mean of Δx resolves the bias
+        far = x.min() > 0.1
+        assert (np.abs((mean - drift) / mean_se).max() < 4.0) == far

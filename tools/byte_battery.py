@@ -85,6 +85,10 @@ def invocations() -> list[tuple[str, list[str]]]:
             "portfolio", "--returns", PANEL, "--preset", "all",
             "--method", method, *PANEL_WINDOW, "--no-warm-start",
             "--variant", "window-moments", "--per-period"]))
+    # a one-cell grid that finishes: its lone chain steps on a one-row stack
+    runs.append(("portfolio-one-cell-mvsk-lmwu", [
+        "portfolio", "--returns", PANEL, "--preset", "mvsk", "--method", "lmwu",
+        *PANEL_WINDOW, "--per-period"]))
     for preset in PRESETS:
         runs.append((f"optimize-returns-{preset}", [
             "optimize", "--returns", PANEL, "--preset", preset]))
