@@ -298,18 +298,39 @@ _TRAJECTORY_CHUNK = 2048
 
 def _write_trajectory(path: str, traj, dim: int) -> None:
     """The rows ``_write_csv`` writes, one format string each: ``%.17g`` is
-    ``_fmt``'s ``format(v, ".17g")``, and ``%d`` gives a flag as 1 or 0."""
+    ``_fmt``'s ``format(v, ".17g")``, and ``%d`` gives a flag as 1 or 0.
+
+    A row whose value, point and flags have the bits of the row before it
+    (as a run past its fixed point gives) is not formatted again: it takes
+    that row's cells after its own ``iter``. Bits, not floats, are compared:
+    0.0 == -0.0, yet they print 0 and -0."""
     header = ["iter", "f", *(f"x_{i}" for i in range(1, dim + 1)),
               "clamped", "resampled"]
     row = "%d," + "%.17g," * (dim + 1) + "%d,%d\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(traj), _TRAJECTORY_CHUNK):
-            part = slice(start, start + _TRAJECTORY_CHUNK)
-            fh.write("".join(row % (k, f, *x, c, r) for k, f, x, c, r in zip(
-                range(start, len(traj)), traj.f_values[part].tolist(),
-                traj.points[part].tolist(), traj.clamped[part].tolist(),
-                traj.resampled[part].tolist())))
+            stop = min(start + _TRAJECTORY_CHUNK, len(traj))
+            # the chunk from the row before it, which is formatted again
+            # (not written) so that the chunk's first rows can repeat it
+            lo = max(start - 1, 0)
+            fb = traj.f_values[lo:stop].view(np.int64)
+            xb = traj.points[lo:stop].view(np.int64)
+            cb, rb = traj.clamped[lo:stop], traj.resampled[lo:stop]
+            moved = ((fb[1:] != fb[:-1]) | (xb[1:] != xb[:-1]).any(axis=1)
+                     | (cb[1:] != cb[:-1]) | (rb[1:] != rb[:-1]))
+            fresh = lo + np.concatenate(([0], 1 + np.flatnonzero(moved)))
+            fresh_rows = fresh.tolist()
+            lines = []
+            for j, end, f, x, c, r in zip(
+                    fresh_rows, fresh_rows[1:] + [stop],
+                    traj.f_values[fresh].tolist(), traj.points[fresh].tolist(),
+                    traj.clamped[fresh].tolist(), traj.resampled[fresh].tolist()):
+                lines.append(row % (j, f, *x, c, r))
+                if end > j + 1:
+                    cells = lines[-1].partition(",")[2]
+                    lines += [f"{k},{cells}" for k in range(j + 1, end)]
+            fh.write("".join(lines[start - lo:]))
 
 
 def _print_final(traj) -> None:

@@ -43,7 +43,7 @@ from .geometry import (
     sample_noise,  # noqa: F401
     shahshahani_gradient,  # noqa: F401
 )
-from .objectives import Objective
+from .objectives import Objective, _OnFloats
 
 __all__ = [
     "Method",
@@ -479,6 +479,12 @@ def run_optimizer(
     substream per simplex block from ``cfg.seed``. Steps and objective run
     on float lists; the public steps take the same float step.
 
+    A ``linear-mwu`` or ``exp-mwu`` step that returns its own input bit for
+    bit, on f1–f6 or the portfolio loss, ends the stepping: those steps and
+    objectives are functions of the point, so every later row would repeat
+    that one, and it fills them. A user ``fn`` is still called once per
+    iterate, as it may count its calls or change over time.
+
     Raises:
         StepFailureError: a step could not produce a point; carries the
             iteration index (and the block, over a product of simplices).
@@ -492,16 +498,25 @@ def run_optimizer(
     clamped = np.zeros(k_max + 1, dtype=bool)
     resampled = np.zeros(k_max + 1, dtype=bool)
     evaluate = objective._on_floats()
+    # every point passes the simplex check, so its coordinates are positive
+    # and equal floats have equal bits
+    stops = (method in (Method.LINEAR_MWU, Method.EXP_MWU)
+             and isinstance(objective.fn, _OnFloats))
     points[0] = x
     x = x.tolist()
     f_values[0], grad = evaluate(x)
 
     for k in range(1, k_max + 1):
         try:
-            x, clamped[k], resampled[k] = step(x, grad)
+            new, clamped[k], resampled[k] = step(x, grad)
         except StepFailureError as exc:
             exc.iteration = k
             raise
+        if stops and new == x:
+            points[k:] = points[k - 1]
+            f_values[k:] = f_values[k - 1]
+            break
+        x = new
         points[k] = x
         f_values[k], grad = evaluate(x)
     return Trajectory(points, f_values, clamped, resampled)

@@ -623,8 +623,18 @@ def test_trajectory_writer_equals_csv_writer(tmp_path, dim):
     points[1] = [0.1 + 0.2] + [0.7 / (dim - 1)] * (dim - 1)
     f_values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     f_values[:4] = [10.154925652974732, -0.0, 1e-12, 2.0 ** 60]
-    traj = Trajectory(points, f_values, rng.random(rows) < 0.3,
-                      rng.random(rows) < 0.4)
+    clamped, resampled = rng.random(rows) < 0.3, rng.random(rows) < 0.4
+    # rows that repeat the row before them: a run across the first chunk
+    # boundary, a 0.0 then a -0.0 value at one point (equal floats, other
+    # cells), and a NaN value repeated
+    chunk = cli._TRAJECTORY_CHUNK
+    for first, last in ((chunk - 3, chunk + 3), (10, 11), (20, 21)):
+        for k in range(first, last + 1):
+            points[k], f_values[k] = points[first - 1], f_values[first - 1]
+            clamped[k], resampled[k] = clamped[first - 1], resampled[first - 1]
+    f_values[10:12] = [0.0, -0.0]
+    f_values[19:22] = np.nan
+    traj = Trajectory(points, f_values, clamped, resampled)
     assert traj.clamped.any() and traj.resampled.any()
     cli._write_trajectory(tmp_path / "new.csv", traj, dim)
     csv_writer_trajectory(tmp_path / "reference.csv", traj, dim)

@@ -8,10 +8,12 @@ the four methods in turn. A kernel rewrite is checked here against
 ``run_optimizer``, the per-step loop that every other loop must reproduce
 bit for bit; ``run_optimizer``'s float steps are checked against a block
 walk over NumPy steps at every n, on cases forced to resample and clamp,
-on products of two simplices, and on gradients with NaN, ±inf and huge
-coordinates. Those NumPy steps are ``optimizers._lmwu_rows`` (the batch of
-``run_chains``) on one row, ``exp_map``, and a plain NumPy transcription of
-the ``linear-mwu`` and ``proj-langevin`` rules kept here; the public
+on products of two simplices, on gradients with NaN, ±inf and huge
+coordinates, and on deterministic runs of f1 and f2 past the exact fixed
+point where ``run_optimizer`` stops stepping. Those NumPy steps are
+``optimizers._lmwu_rows`` (the batch of ``run_chains``) on one row,
+``exp_map``, and a plain NumPy transcription of the ``linear-mwu`` and
+``proj-langevin`` rules kept here; the public
 ``lmwu_step``, itself the floor rule and the float step on one point, is
 checked against the floor rule and that row on seeded edge inputs. Both add
 every sum left to right, so n >= 8, where ``ndarray.sum`` adds pairwise, is
@@ -39,6 +41,7 @@ import numpy as np
 import pytest
 
 from simplex_langevin import optimizers
+from simplex_langevin.cli import PAPER_PRESETS
 from simplex_langevin.geometry import (
     SUM_TOL,
     _left_simplex,
@@ -55,6 +58,7 @@ from simplex_langevin.objectives import (
     portfolio_moments,
     portfolio_objective,
 )
+from simplex_langevin.objectives import test_function as benchmark
 from simplex_langevin.optimizers import (
     LmwuConfig,
     Method,
@@ -388,6 +392,27 @@ def test_float_steps_equal_the_numpy_loop(references):
     # the second block of a product
     assert {"plain", "resampled", "clamped", "update", "iterate", "eps",
             "eps in block 1"} <= outcomes
+
+
+@pytest.mark.parametrize("method", [Method.LINEAR_MWU, Method.EXP_MWU],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("fid, init", [("f1", "paper"), ("f1", "uniform"),
+                                       ("f2", "uniform")])
+def test_runs_past_a_fixed_point_equal_the_numpy_loop(method, fid, init):
+    # on a bundled objective, run_optimizer stops stepping a deterministic
+    # run at its exact fixed point and fills the rows after it; the NumPy
+    # loop steps to the end, and every row is the same bit for bit
+    objective = benchmark(fid)
+    start = (PAPER_PRESETS[fid].init if init == "paper"
+             else barycenter(objective.dim))
+    cfg = LmwuConfig(eps=PAPER_PRESETS[fid].det_eps, beta=1.0, max_iters=7000)
+    expected = numpy_loop(method, objective, start, cfg)
+    _outcome(run_optimizer(method, objective, start, cfg), expected,
+             (method.value, fid, init))
+    # the first step that returns its own input comes before the last step
+    repeats = np.flatnonzero((expected.points[1:] == expected.points[:-1])
+                             .all(axis=1))
+    assert repeats.size and repeats[0] + 1 < cfg.max_iters
 
 
 def test_clamp_and_lift_stay_on_floats(monkeypatch):

@@ -346,8 +346,13 @@ class TestRunOptimizer:
             run_optimizer("lmwu", obj, [0.3, 0.6, 0.1], cfg)
         assert info.value.iteration == 1
 
-    @pytest.mark.parametrize("method", [m.value for m in Method])
-    def test_one_evaluation_per_iterate(self, method):
+    @pytest.mark.parametrize("method, iters", [
+        *(pytest.param(m.value, 25, id=m.value) for m in Method),
+        # f1's exp-mwu fixed point, iterate 3,940: a user fn is still called
+        # at every later iterate
+        pytest.param("exp-mwu", 5000, id="exp-mwu-past-fixed-point"),
+    ])
+    def test_one_evaluation_per_iterate(self, method, iters):
         f1 = benchmark("f1")
         points = []
 
@@ -356,10 +361,13 @@ class TestRunOptimizer:
             return f1.value_and_grad(p)
 
         obj = Objective(name="counted-f1", dim=3, block_dims=(3,), fn=counted)
-        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=25, seed=4)
+        cfg = LmwuConfig(eps=1e-3, beta=100.0, max_iters=iters, seed=4)
         traj = run_optimizer(method, obj, [0.3, 0.6, 0.1], cfg)
         assert len(points) == cfg.max_iters + 1
         assert np.array_equal(np.array(points), traj.points)
+        if iters == 5000:
+            assert np.array_equal(traj.points[3941], traj.points[3940])
+            assert not np.array_equal(traj.points[3940], traj.points[3939])
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_gradient_of_the_wrong_length_fails_the_run(self, method):

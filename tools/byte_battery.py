@@ -77,6 +77,11 @@ def invocations() -> list[tuple[str, list[str]]]:
                 runs.append((f"sweep-{fid}-{init}-{method}",
                              ["sweep", "--method", method, "--samples", "8",
                               *common]))
+    # past the exact fixed points of linear-mwu (iterate 3,493) and exp-mwu
+    # (iterate 3,537), whose later rows repeat
+    runs.append(("compare-f1-uniform-iters5000", [
+        "compare", "--objective", "f1", "--init", "uniform", "--iters", "5000",
+        "--seed", "3"]))
     runs.append(("portfolio-warm", [
         "portfolio", "--returns", PANEL, "--preset", "mv,mvsk,equal",
         *PANEL_WINDOW, "--per-period", "--seed", "0"]))
